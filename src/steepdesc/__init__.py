@@ -7,8 +7,8 @@ from .diagnostics import (KKTReport, MarginReport, bregman_divergence,
                           scale_to_feasible)
 from .harness import (DataSource, RunConfig, RunLog, emit_csv, emit_svg,
                       evaluate_accuracy, load_config, run_training)
-from .losses import (LossSpec, log_loss, loss_subgradient, output_margins,
-                     phi_inverse, separation_threshold)
+from .losses import (Evaluation, LossSpec, evaluate, log_loss, loss_subgradient,
+                     output_margins, phi_inverse, separation_threshold)
 from .models import (InitSpec, ModelSpec, euler_identity_check, forward,
                      forward_batch, init_params, load_checkpoint,
                      network_subgradient, save_checkpoint)

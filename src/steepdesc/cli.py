@@ -20,7 +20,7 @@ from .diagnostics import kkt_residuals, margin_report
 from .errors import NotSeparatedError, SteepdescError
 from .harness import (config_from_values, emit_svg, parse_norm,
                       read_flat_config, run_training)
-from .losses import LossSpec
+from .losses import LossSpec, evaluate
 from .models import load_checkpoint
 from .oracle import grid_max_margin
 
@@ -129,12 +129,11 @@ def _cmd_diagnose(args) -> int:
     model, theta = load_checkpoint(args.checkpoint)
     ds = data_mod.load_dataset(args.data)
     norm = parse_norm(args.norm)
-    loss = LossSpec(args.loss)
-    payload = {"margin_report": _report_json(
-        margin_report(model, theta, ds, loss, norm))}
+    ev = evaluate(LossSpec(args.loss), model, theta, ds)
+    payload = {"margin_report": _report_json(margin_report(ev, norm))}
     try:
         payload["kkt_report"] = _report_json(kkt_residuals(
-            model, theta, ds, loss, norm, gamma_tilde_t0=args.gamma_tilde_t0))
+            ev, norm, gamma_tilde_t0=args.gamma_tilde_t0))
     except NotSeparatedError:
         payload["kkt_report"] = None
     text = json.dumps(payload, indent=2, sort_keys=True)

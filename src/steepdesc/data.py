@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import ConfigError, DataFormatError
 from .models import ModelSpec, forward_batch
 from .params import ParamVector
 from .rng import Xoshiro256pp
@@ -40,11 +40,11 @@ class TeacherSpec:
 
     def __post_init__(self):
         if self.input_dim < 1 or self.width < 1:
-            raise ValueError("teacher dimensions must be positive")
+            raise ConfigError("teacher dimensions must be positive")
         if not (1 <= self.active_per_neuron <= self.input_dim):
-            raise ValueError("active_per_neuron must be in [1, input_dim]")
+            raise ConfigError("active_per_neuron must be in [1, input_dim]")
         if self.weight_scale <= 0:
-            raise ValueError("weight_scale must be positive")
+            raise ConfigError("weight_scale must be positive")
 
     def model(self) -> ModelSpec:
         return ModelSpec.two_layer_relu(self.input_dim, self.width)
@@ -106,7 +106,7 @@ def sample_dataset(teacher: ParamVector, m: int, seed: int,
                    meta: dict | None = None) -> Dataset:
     """m Gaussian inputs labeled by the teacher's sign; exact zeros resampled."""
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise ConfigError("m must be >= 1")
     width, d = teacher.blocks[0].shape
     model = ModelSpec.two_layer_relu(d, width)
     rng = Xoshiro256pp(seed)
@@ -201,13 +201,19 @@ def load_dataset(path) -> Dataset:
     data = Path(path).read_bytes()
     if data[:4] != _STPD_MAGIC:
         raise DataFormatError(f"{path}: bad magic {data[:4]!r}, expected STPD")
-    version, m, d, meta_len = struct.unpack_from("<IQQI", data, 4)
+    try:
+        version, m, d, meta_len = struct.unpack_from("<IQQI", data, 4)
+    except struct.error as exc:
+        raise DataFormatError(f"{path}: truncated header") from exc
     if version != _STPD_VERSION:
         raise DataFormatError(
             f"{path}: container version {version} not supported "
             f"(expected {_STPD_VERSION})")
     offset = 4 + struct.calcsize("<IQQI")
-    meta = json.loads(data[offset:offset + meta_len].decode("utf-8"))
+    try:
+        meta = json.loads(data[offset:offset + meta_len].decode("utf-8"))
+    except ValueError as exc:          # JSONDecodeError, UnicodeDecodeError
+        raise DataFormatError(f"{path}: corrupt metadata: {exc}") from exc
     offset += meta_len
     need = m * d * 8 + m
     if len(data) - offset != need:

@@ -20,8 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import NotSeparatedError, ZeroVectorError
-from .losses import (LossSpec, log_loss, loss_subgradient_scaled, output_margins,
-                     phi_inverse, separation_threshold)
+from .losses import (Evaluation, LossSpec, output_margins, phi_inverse,
+                     separation_threshold)
 from .models import ModelSpec, weighted_subgradient_sum
 from .norms import NormSpec, dual_norm_value, norm_subgradient, norm_value
 from .params import ParamVector
@@ -72,10 +72,6 @@ class KKTReport:
         """Multipliers exponentiated out of log-domain (may underflow to 0)."""
         return np.exp(self.log_lambda)
 
-    @property
-    def lambda_representable(self) -> bool:
-        return bool(np.all(self.log_lambda < 709.0))
-
 
 def detect_separation(log_loss_value: float, loss: LossSpec) -> bool:
     """True once the loss has dropped strictly below the zero-margin level."""
@@ -90,17 +86,14 @@ def _alignment(theta_tr: ParamVector, g_hat_tr: ParamVector,
     return -theta_tr.dot(g_hat_tr) / (theta_norm * dual)
 
 
-def margin_report(model: ModelSpec, theta: ParamVector, data, loss: LossSpec,
-                  algo_norm: NormSpec) -> MarginReport:
-    """All margin diagnostics at ``theta``; requires theta != 0."""
-    theta_tr = theta.trainable_view()
+def margin_report(ev: Evaluation, algo_norm: NormSpec) -> MarginReport:
+    """All margin diagnostics at the evaluated point; requires theta != 0."""
+    theta_tr = ev.theta.trainable_view()
     algo_theta_norm = norm_value(algo_norm, theta_tr)
     if algo_theta_norm == 0.0:
         raise ZeroVectorError("margin_report is undefined at theta = 0")
-    degree = model.homogeneity_degree
-    q = output_margins(model, theta, data)
-    q_min = float(q.min())
-    ll = log_loss(loss, q)
+    degree = ev.model.homogeneity_degree
+    q_min = float(ev.q.min())
 
     norms = {
         "l1": norm_value(NormSpec.l1(), theta_tr),
@@ -111,11 +104,11 @@ def margin_report(model: ModelSpec, theta: ParamVector, data, loss: LossSpec,
     }
 
     try:
-        soft = phi_inverse(loss, -ll) / algo_theta_norm**degree
+        soft = phi_inverse(ev.loss, -ev.log_loss) / algo_theta_norm**degree
     except ValueError:
         soft = math.nan
 
-    g_hat, _, _ = loss_subgradient_scaled(loss, model, theta, data)
+    g_hat, _ = ev.subgradient
     align = _alignment(theta_tr, g_hat.trainable_view(), algo_norm, algo_theta_norm)
 
     return MarginReport(
@@ -127,9 +120,9 @@ def margin_report(model: ModelSpec, theta: ParamVector, data, loss: LossSpec,
         gamma_algo=q_min / algo_theta_norm**degree,
         soft_margin=soft,
         param_norms=norms,
-        log_loss=ll,
+        log_loss=ev.log_loss,
         alignment=align,
-        separated=detect_separation(ll, loss),
+        separated=detect_separation(ev.log_loss, ev.loss),
     )
 
 
@@ -159,8 +152,7 @@ def bregman_divergence(algo_norm: NormSpec, y: ParamVector, z: ParamVector,
     return 0.5 * dy * dy - 0.5 * dz * dz - m_vec.dot(y - z)
 
 
-def kkt_residuals(model: ModelSpec, theta: ParamVector, data, loss: LossSpec,
-                  algo_norm: NormSpec,
+def kkt_residuals(ev: Evaluation, algo_norm: NormSpec,
                   gamma_tilde_t0: Optional[float] = None) -> KKTReport:
     """Residuals of the rescaled iterate against the max-margin conditions.
 
@@ -171,18 +163,18 @@ def kkt_residuals(model: ModelSpec, theta: ParamVector, data, loss: LossSpec,
     geometry for the Bregman gap. Bounds require the separation-time soft
     margin.
     """
+    model, theta, data, q = ev.model, ev.theta, ev.data, ev.q
     degree = model.homogeneity_degree
     theta_tr = theta.trainable_view()
     theta_norm = norm_value(algo_norm, theta_tr)
     if theta_norm == 0.0:
         raise ZeroVectorError("kkt_residuals is undefined at theta = 0")
 
-    q = output_margins(model, theta, data)
     q_min = float(q.min())
     if q_min <= 0.0:
         raise NotSeparatedError(f"q_min = {q_min} <= 0: not separated")
 
-    g_hat, log_scale, logw = loss_subgradient_scaled(loss, model, theta, data)
+    g_hat, log_scale = ev.subgradient
     g_hat_tr = g_hat.trainable_view()
     dual_hat = dual_norm_value(algo_norm, g_hat_tr)
     if dual_hat == 0.0:
@@ -190,7 +182,7 @@ def kkt_residuals(model: ModelSpec, theta: ParamVector, data, loss: LossSpec,
     log_g_dual = log_scale + math.log(dual_hat)
 
     log_lambda = (math.log(theta_norm) - log_g_dual
-                  + (1.0 - 2.0 / degree) * math.log(q_min) + logw)
+                  + (1.0 - 2.0 / degree) * math.log(q_min) + ev.logw)
 
     theta_f = theta.scaled_trainable(q_min ** (-1.0 / degree))
     theta_f_tr = theta_f.trainable_view()
@@ -213,10 +205,9 @@ def kkt_residuals(model: ModelSpec, theta: ParamVector, data, loss: LossSpec,
     bregman_bound = delta_bound = None
     if gamma_tilde_t0 is not None and gamma_tilde_t0 > 0.0:
         align = _alignment(theta_tr, g_hat_tr, algo_norm, theta_norm)
-        ll = log_loss(loss, q)
         gt0 = gamma_tilde_t0 ** (2.0 / degree)
         bregman_bound = (1.0 - align) / gt0
-        delta_bound = len(y) / (math.e * gt0 * degree * (-ll))
+        delta_bound = len(y) / (math.e * gt0 * degree * (-ev.log_loss))
 
     return KKTReport(log_lambda=log_lambda, eps=eps, delta=delta,
                      bregman_gap=gap, bregman_bound=bregman_bound,

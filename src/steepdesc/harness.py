@@ -24,10 +24,10 @@ import numpy as np
 
 from .data import (Dataset, TeacherSpec, gen_teacher, load_dataset, load_idx,
                    sample_dataset)
-from .diagnostics import detect_separation, kkt_residuals, margin_report
+from .diagnostics import (MarginReport, detect_separation, kkt_residuals,
+                          margin_report)
 from .errors import ConfigError, DivergenceError, InvariantViolation
-from .losses import (EXPONENTIAL, LossSpec, log_loss, loss_subgradient_scaled,
-                     output_margins)
+from .losses import EXPONENTIAL, Evaluation, LossSpec, evaluate, output_margins
 from .models import InitSpec, ModelSpec, init_params, save_checkpoint
 from .norms import NormSpec
 from .optimizers import (AdamMethod, OptimizerSpec, OptimizerState,
@@ -159,17 +159,15 @@ def evaluate_accuracy(model: ModelSpec, theta: ParamVector, data) -> float:
     return float((q > 0.0).mean())
 
 
-def _build_row(step: int, config: RunConfig, theta: ParamVector, train: Dataset,
-               test: Optional[Dataset], q: np.ndarray, t0_known: bool,
+def _build_row(step: int, config: RunConfig, ev: Evaluation, rep: MarginReport,
+               test: Optional[Dataset], t0_known: bool,
                gamma_tilde_t0: Optional[float], frozen: bool) -> LogRow:
-    model, loss = config.model, config.loss
     algo = config.diagnostics_norms[0]
-    rep = margin_report(model, theta, train, loss, algo)
     row = LogRow(
         step=step,
         log_loss=rep.log_loss,
-        train_acc=float((q > 0.0).mean()),
-        test_acc=(evaluate_accuracy(model, theta, test)
+        train_acc=float((ev.q > 0.0).mean()),
+        test_acc=(evaluate_accuracy(ev.model, ev.theta, test)
                   if test is not None else None),
         q_min=rep.q_min,
         gamma_1=rep.gamma_1,
@@ -189,8 +187,7 @@ def _build_row(step: int, config: RunConfig, theta: ParamVector, train: Dataset,
         frozen=frozen,
     )
     if t0_known and rep.q_min > 0.0:
-        kkt = kkt_residuals(model, theta, train, loss, algo,
-                            gamma_tilde_t0=gamma_tilde_t0)
+        kkt = kkt_residuals(ev, algo, gamma_tilde_t0=gamma_tilde_t0)
         row.kkt_eps = kkt.eps
         row.kkt_delta = kkt.delta
         row.bregman_gap = kkt.bregman_gap
@@ -223,32 +220,30 @@ def run_training(config: RunConfig, train: Optional[Dataset] = None,
     for step in range(config.epochs + 1):
         if not theta.allfinite():
             raise DivergenceError(step, "non-finite parameters")
-        q = output_margins(model, theta, train)
-        if not np.isfinite(q).all():
+        ev = evaluate(loss, model, theta, train)
+        if not np.isfinite(ev.q).all():
             raise DivergenceError(step, "non-finite margins")
-        ll = log_loss(loss, q)
-        if not np.isfinite(ll):
+        if not np.isfinite(ev.log_loss):
             raise DivergenceError(step, "non-finite loss")
 
         if step % config.log_every == 0 or step == config.epochs:
-            if log.t0_step is None and detect_separation(ll, loss):
+            rep = margin_report(ev, config.diagnostics_norms[0])
+            if log.t0_step is None and detect_separation(ev.log_loss, loss):
                 log.t0_step = step
                 # freeze gamma_tilde(t0) before the row's bounds are formed
-                rep = margin_report(model, theta, train, loss,
-                                    config.diagnostics_norms[0])
                 log.gamma_tilde_t0 = rep.soft_margin
                 opt_spec, state = apply_switch(opt_spec, state, True)
-            log.rows.append(_build_row(step, config, theta, train, test, q,
+            log.rows.append(_build_row(step, config, ev, rep, test,
                                        log.t0_step is not None,
                                        log.gamma_tilde_t0, frozen))
 
         if step == config.epochs:
             break
-        if ll < FREEZE_LOG_LOSS:
+        if ev.log_loss < FREEZE_LOG_LOSS:
             frozen = True
         if frozen:
             continue
-        g_hat, log_scale, _ = loss_subgradient_scaled(loss, model, theta, train)
+        g_hat, log_scale = ev.subgradient
         theta, state = take_step(theta, g_hat, state, opt_spec,
                                  log_scale=log_scale)
 
@@ -565,6 +560,10 @@ def config_from_values(values: dict, output_dir: Optional[str] = None) -> RunCon
                          output_dir=out_dir, strict=bool(v.get("strict", False)))
     except KeyError as exc:
         raise ConfigError(f"missing config key {exc.args[0]!r}") from exc
+    except ConfigError:
+        raise
+    except ValueError as exc:          # int() or float() of a malformed value
+        raise ConfigError(f"malformed config value: {exc}") from exc
 
 
 def load_config(path) -> RunConfig:

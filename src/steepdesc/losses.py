@@ -9,16 +9,18 @@ per-example weights, multipliers) is carried as logarithms:
   * ``logistic``     Phi(u) = -log(log(1 + exp(-u))), so l(u) = log(1+exp(-u))
 
 ``log_loss`` is exact in log-domain even when every term underflows;
-``loss_subgradient_scaled`` factors the gradient as exp(log_scale) * g_hat
-with g_hat well-conditioned, which is what the training loop and the KKT
-diagnostics consume.
+``evaluate`` computes margins, log-weights and log-loss once per point, and
+its ``subgradient`` factors the gradient as exp(log_scale) * g_hat with g_hat
+well-conditioned, which the training step and the diagnostics all share.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .errors import ConfigError
 from .models import ModelSpec, forward_batch, weighted_subgradient_sum
 from .params import ParamVector
 
@@ -36,7 +38,7 @@ class LossSpec:
 
     def __post_init__(self):
         if self.kind not in (EXPONENTIAL, LOGISTIC):
-            raise ValueError(f"unknown loss kind {self.kind!r}")
+            raise ConfigError(f"unknown loss kind {self.kind!r}")
 
     @classmethod
     def exponential(cls) -> "LossSpec":
@@ -119,34 +121,46 @@ def phi_prime(loss: LossSpec, u):
     return float(out) if out.ndim == 0 else out
 
 
-def loss_subgradient_scaled(loss: LossSpec, model: ModelSpec, theta: ParamVector,
-                            data) -> tuple[ParamVector, float, np.ndarray]:
-    """The loss subgradient factored as exp(log_scale) * g_hat.
+@dataclass(frozen=True)
+class Evaluation:
+    """Margins ``q``, log-weights ``logw`` and ``log_loss`` at one point."""
 
-    g_hat = -sum_i exp(logw_i - log_scale) y_i h_i with log_scale the
-    largest log-weight, so its entries stay in a representable range no
-    matter how small the loss is. Returns (g_hat, log_scale, logw).
-    """
+    loss: LossSpec
+    model: ModelSpec
+    theta: ParamVector
+    data: object
+    q: np.ndarray
+    logw: np.ndarray
+    log_loss: float
+
+    @cached_property
+    def subgradient(self) -> tuple[ParamVector, float]:
+        """(g_hat, log_scale) with the loss subgradient exp(log_scale) * g_hat,
+        g_hat = -sum_i exp(logw_i - log_scale) y_i h_i and log_scale the largest
+        log-weight, so g_hat stays representable however small the loss. Formed
+        on first read: a frozen, unlogged step never pays for it."""
+        scale = float(np.max(self.logw))
+        y = np.asarray(self.data.y, dtype=np.float64)
+        coeffs = -y * np.exp(self.logw - scale)
+        return weighted_subgradient_sum(self.model, self.theta, self.data.X,
+                                        coeffs), scale
+
+
+def evaluate(loss: LossSpec, model: ModelSpec, theta: ParamVector,
+             data) -> Evaluation:
+    """One forward pass over ``data`` and everything the loss derives from it."""
     q = output_margins(model, theta, data)
-    logw = log_weights(loss, q)
-    scale = float(np.max(logw))
-    y = np.asarray(data.y, dtype=np.float64)
-    coeffs = -y * np.exp(logw - scale)
-    g_hat = weighted_subgradient_sum(model, theta, data.X, coeffs)
-    return g_hat, scale, logw
+    return Evaluation(loss, model, theta, data, q, log_weights(loss, q),
+                      log_loss(loss, q))
 
 
 def loss_subgradient(loss: LossSpec, model: ModelSpec, theta: ParamVector,
                      data) -> tuple[ParamVector, np.ndarray]:
-    """The loss subgradient under the fixed network selection, plus the
-    per-example log-weights.
-
-    The returned gradient is the literal value -sum_i exp(logw_i) y_i h_i;
-    at extreme margins its magnitude can underflow, in which case the
-    scaled form from ``loss_subgradient_scaled`` preserves the direction.
-    """
-    g_hat, scale, logw = loss_subgradient_scaled(loss, model, theta, data)
-    return g_hat.scaled(float(np.exp(scale))), logw
+    """The literal loss subgradient -sum_i exp(logw_i) y_i h_i under the fixed
+    network selection, plus the per-example log-weights. At extreme margins
+    it can underflow; ``Evaluation.subgradient`` keeps the direction."""
+    ev = evaluate(loss, model, theta, data)
+    return ev.subgradient[0].scaled(float(np.exp(ev.subgradient[1]))), ev.logw
 
 
 def phi_inverse(loss: LossSpec, v: float) -> float:

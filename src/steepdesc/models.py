@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, ShapeMismatchError
+from .errors import ConfigError, DataFormatError, ShapeMismatchError
 from .params import ParamVector, from_flat
 from .rng import Xoshiro256pp
 
@@ -44,11 +44,11 @@ class ModelSpec:
 
     def __post_init__(self):
         if self.kind not in (LINEAR, TWO_LAYER_RELU):
-            raise ValueError(f"unknown model kind {self.kind!r}")
+            raise ConfigError(f"unknown model kind {self.kind!r}")
         if self.input_dim < 1:
-            raise ValueError("input_dim must be positive")
+            raise ConfigError("input_dim must be positive")
         if self.kind == TWO_LAYER_RELU and self.width < 1:
-            raise ValueError("two_layer_relu requires a positive width")
+            raise ConfigError("two_layer_relu requires a positive width")
 
     @property
     def homogeneity_degree(self) -> int:
@@ -75,9 +75,9 @@ class InitSpec:
 
     def __post_init__(self):
         if self.scale <= 0:
-            raise ValueError("init scale must be positive")
+            raise ConfigError("init scale must be positive")
         if self.scheme not in (FAN_IN_UNIFORM, COORDINATE_UNIFORM):
-            raise ValueError(f"unknown init scheme {self.scheme!r}")
+            raise ConfigError(f"unknown init scheme {self.scheme!r}")
 
 
 def _check_params(model: ModelSpec, theta: ParamVector) -> None:
@@ -212,14 +212,20 @@ def load_checkpoint(path) -> tuple[ModelSpec, ParamVector]:
     data = Path(path).read_bytes()
     if data[:4] != _CKPT_MAGIC:
         raise DataFormatError(f"{path}: not a checkpoint (bad magic {data[:4]!r})")
-    version, blob_len = struct.unpack("<II", data[4:12])
+    try:
+        version, blob_len = struct.unpack("<II", data[4:12])
+    except struct.error as exc:
+        raise DataFormatError(f"{path}: truncated checkpoint header") from exc
     if version != _CKPT_VERSION:
         raise DataFormatError(f"{path}: unsupported checkpoint version {version}")
-    header = json.loads(data[12:12 + blob_len].decode("utf-8"))
-    m = header["model"]
-    model = ModelSpec(m["kind"], m["input_dim"], m["width"], m["freeze_second_layer"])
-    flat = np.frombuffer(data[12 + blob_len:], dtype="<f8").astype(np.float64)
-    shapes = [tuple(s) for s in header["block_shapes"]]
-    theta = from_flat(flat, shapes, header["trainable"])
+    try:
+        header = json.loads(data[12:12 + blob_len].decode("utf-8"))
+        m = header["model"]
+        model = ModelSpec(m["kind"], m["input_dim"], m["width"], m["freeze_second_layer"])
+        flat = np.frombuffer(data[12 + blob_len:], dtype="<f8").astype(np.float64)
+        shapes = [tuple(s) for s in header["block_shapes"]]
+        theta = from_flat(flat, shapes, header["trainable"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataFormatError(f"{path}: malformed checkpoint: {exc}") from exc
     _check_params(model, theta)
     return model, theta

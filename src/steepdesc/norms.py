@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteError, ShapeMismatchError, ZeroVectorError
+from .errors import (ConfigError, NonFiniteError, ShapeMismatchError,
+                     ZeroVectorError)
 from .params import ParamVector, from_flat
 
 L1 = "l1"
@@ -51,14 +52,15 @@ class NormSpec:
 
     def __post_init__(self):
         if self.kind not in (*_FLAT_KINDS, SPECTRAL, MODULAR_MAX):
-            raise ValueError(f"unknown norm kind {self.kind!r}")
+            raise ConfigError(f"unknown norm kind {self.kind!r}")
         if self.kind == MODULAR_MAX:
             if not self.block_norms:
-                raise ValueError("modular_max requires at least one block norm")
+                raise ConfigError("modular_max requires at least one block norm")
             if any(b.kind == MODULAR_MAX for b in self.block_norms):
-                raise ValueError("modular_max block norms may not be modular_max")
+                raise ConfigError("modular_max block norms may not be modular_max")
         elif self.block_norms:
-            raise ValueError(f"block_norms is only valid for modular_max, not {self.kind}")
+            raise ConfigError(
+                f"block_norms is only valid for modular_max, not {self.kind}")
 
     @classmethod
     def l1(cls) -> "NormSpec":

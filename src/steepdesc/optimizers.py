@@ -19,11 +19,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import NonFiniteError
+from .errors import ConfigError, NonFiniteError
 from .norms import NormSpec, dual_norm_value, unit_steepest_direction
 from .params import ParamVector
-
-_T_CAP = 2**63 - 1
 
 
 def _exp_saturating(x: float) -> float:
@@ -47,9 +45,9 @@ class AdamMethod:
 
     def __post_init__(self):
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("Adam betas must lie in [0, 1)")
+            raise ConfigError("Adam betas must lie in [0, 1)")
         if self.eps < 0.0:
-            raise ValueError("Adam eps must be >= 0")
+            raise ConfigError("Adam eps must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -58,7 +56,7 @@ class ShampooMethod:
 
     def __post_init__(self):
         if self.eps_reg < 0.0:
-            raise ValueError("Shampoo eps_reg must be >= 0")
+            raise ConfigError("Shampoo eps_reg must be >= 0")
 
 
 Method = Union[SteepestMethod, AdamMethod, ShampooMethod]
@@ -68,14 +66,11 @@ Method = Union[SteepestMethod, AdamMethod, ShampooMethod]
 class OptimizerSpec:
     method: Method
     step_size: float
-    schedule: str = "constant"
     switch_to: Optional["OptimizerSpec"] = None  # applied at first separation
 
     def __post_init__(self):
         if self.step_size <= 0.0:
-            raise ValueError("step_size must be positive")
-        if self.schedule != "constant":
-            raise ValueError("only the constant step-size schedule is supported")
+            raise ConfigError("step_size must be positive")
 
 
 @dataclass
@@ -127,7 +122,7 @@ def step_adam(theta: ParamVector, g: ParamVector, state: OptimizerState,
         raise TypeError("step_adam requires an Adam method")
     m_prev = state.adam_m if state.adam_m is not None else g.zeros_like()
     v_prev = state.adam_v if state.adam_v is not None else g.zeros_like()
-    t = min(state.t + 1, _T_CAP)
+    t = state.t + 1
     b1, b2, eps = method.beta1, method.beta2, method.eps
     new_m, new_v, deltas = [], [], []
     for gb, mb, vb in zip(g.blocks, m_prev.blocks, v_prev.blocks):
@@ -197,7 +192,7 @@ def step_shampoo(theta: ParamVector, g: ParamVector, state: OptimizerState,
         new_right[i] = right
         upd = _inverse_fourth_root(left) @ gm @ _inverse_fourth_root(right)
         new_blocks.append(tb - eta * upd.reshape(tb.shape))
-    new_state = OptimizerState(t=min(state.t + 1, _T_CAP),
+    new_state = OptimizerState(t=state.t + 1,
                                shampoo_left=new_left, shampoo_right=new_right)
     return ParamVector(tuple(new_blocks), theta.trainable), new_state
 
@@ -222,9 +217,8 @@ def take_step(theta: ParamVector, g: ParamVector, state: OptimizerState,
     """Dispatch one update under ``spec`` at its configured step size."""
     eta = spec.step_size
     if isinstance(spec.method, SteepestMethod):
-        new_theta = step_steepest(theta, g, spec, eta, log_scale=log_scale)
-        state = OptimizerState(t=min(state.t + 1, _T_CAP))
-        return new_theta, state
+        return (step_steepest(theta, g, spec, eta, log_scale=log_scale),
+                OptimizerState(t=state.t + 1))
     scaled = g.scaled(_exp_saturating(log_scale)) if log_scale != 0.0 else g
     if isinstance(spec.method, AdamMethod):
         return step_adam(theta, scaled, state, spec, eta)

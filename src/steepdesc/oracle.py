@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import kkt_residuals
-from .losses import LossSpec
+from .losses import LossSpec, evaluate
 from .models import ModelSpec
 from .norms import L1, L2, LINF, MODULAR_MAX, SPECTRAL, NormSpec
 from .params import ParamVector
@@ -156,5 +156,6 @@ def certify_kkt(model: ModelSpec, theta: ParamVector, data, algo_norm: NormSpec,
     Multipliers are formed with exponential-loss weights; propagates the
     not-separated error when q_min <= 0.
     """
-    report = kkt_residuals(model, theta, data, LossSpec.exponential(), algo_norm)
+    report = kkt_residuals(evaluate(LossSpec.exponential(), model, theta, data),
+                           algo_norm)
     return report.eps <= tol_eps and report.delta <= tol_delta

@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import steepdesc
 from steepdesc.cli import cli_main
 from steepdesc.data import export_csv, load_dataset
 from steepdesc.harness import load_config
+from steepdesc.models import InitSpec, ModelSpec, init_params, save_checkpoint
 
 
 TOY_CONFIG = """
@@ -58,6 +64,14 @@ class TestTrainCommand:
         assert cli_main(["train", "--config", str(missing)]) != 0
         assert str(missing) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["input_dim = abc", "step_size = -1",
+                                      "epochs = 1.5e", "loss = hinge"])
+    def test_malformed_value_exits_1(self, tmp_path, toy_dataset, capsys, line):
+        cfg, _ = write_config(tmp_path, toy_dataset)
+        cfg.write_text(cfg.read_text() + line + "\n")
+        assert cli_main(["train", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_svg_emission(self, tmp_path, toy_dataset):
         cfg, out = write_config(tmp_path, toy_dataset)
         code = cli_main(["train", "--config", str(cfg),
@@ -76,6 +90,16 @@ class TestGenerateDataCommand:
         ds = load_dataset(out)
         assert ds.m == 32 and ds.d == 8
         assert (tmp_path / "teacher.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--input-dim", "2", "--teacher-k", "2", "--m", "8"],  # --active 3 > d
+        ["--input-dim", "8", "--teacher-k", "4", "--m", "0"],
+    ], ids=["more active inputs than inputs", "no examples"])
+    def test_invalid_teacher_exits_1(self, tmp_path, capsys, argv):
+        out = tmp_path / "teacher.stpd"
+        assert cli_main(["generate-data", *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 class TestOracleCommand:
@@ -116,6 +140,27 @@ class TestDiagnoseCommand:
         cli_main(["diagnose", "--checkpoint", str(out / "final.ckpt"),
                   "--data", str(toy_dataset), "--out", str(dest)])
         assert json.loads(dest.read_text())["margin_report"]["q_min"] > 0
+
+    @pytest.mark.parametrize("target, corrupt", [
+        ("data", lambda b: b[:29]),
+        ("data", lambda b: b[:6]),
+        ("checkpoint", lambda b: b[:8]),
+        ("checkpoint", lambda b: b[:12] + b"#" + b[13:]),
+        ("checkpoint", lambda b: b[:-3]),
+    ], ids=["dataset cut in its metadata", "dataset cut in its header",
+            "checkpoint cut in its header", "checkpoint header not JSON",
+            "checkpoint body not whole float64s"])
+    def test_malformed_input_exits_1(self, tmp_path, toy_dataset, capsys,
+                                     target, corrupt):
+        model = ModelSpec.two_layer_relu(2, 8)
+        ckpt = tmp_path / "theta.ckpt"
+        save_checkpoint(ckpt, model, init_params(model, InitSpec(0.05, seed=3)))
+        path = {"data": toy_dataset, "checkpoint": ckpt}[target]
+        path.write_bytes(corrupt(path.read_bytes()))
+        code = cli_main(["diagnose", "--checkpoint", str(ckpt),
+                         "--data", str(toy_dataset)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 class TestSweepCommand:
@@ -159,3 +204,16 @@ class TestConfigLoad:
         config = load_config(cfg)
         assert config.epochs == 400
         assert config.optimizer.step_size == 0.05
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = str(Path(steepdesc.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = tmp_path / "teacher.stpd"
+    proc = subprocess.run(
+        [sys.executable, "-m", "steepdesc", "generate-data", "--input-dim", "4",
+         "--teacher-k", "2", "--active", "2", "--m", "3", "--out", str(out)],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert load_dataset(out).m == 3

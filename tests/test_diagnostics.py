@@ -7,7 +7,7 @@ from steepdesc.diagnostics import (bregman_divergence, detect_separation,
                                    kkt_residuals, margin_report,
                                    scale_to_feasible)
 from steepdesc.errors import NotSeparatedError, ZeroVectorError
-from steepdesc.losses import LossSpec, output_margins
+from steepdesc.losses import LossSpec, evaluate, output_margins
 from steepdesc.models import ModelSpec
 from steepdesc.norms import NormSpec, dual_norm_value
 from steepdesc.params import ParamVector
@@ -32,7 +32,7 @@ def linear_instance(theta_vals, X, y):
 class TestMarginReport:
     def test_linear_l2_margin(self):
         model, theta, data = linear_instance([3.0, 4.0], [[1.0, 0.0]], [1.0])
-        rep = margin_report(model, theta, data, EXP, NormSpec.l2())
+        rep = margin_report(evaluate(EXP, model, theta, data), NormSpec.l2())
         assert rep.q_min == pytest.approx(3.0)
         assert rep.gamma_2 == pytest.approx(0.6)
         assert rep.gamma_algo == pytest.approx(0.6)
@@ -40,14 +40,14 @@ class TestMarginReport:
     def test_single_example_soft_equals_hard(self):
         # m = 1 makes the soft/hard sandwich tight
         model, theta, data = linear_instance([1.0, 0.0], [[5.0, 0.0]], [1.0])
-        rep = margin_report(model, theta, data, EXP, NormSpec.l2())
+        rep = margin_report(evaluate(EXP, model, theta, data), NormSpec.l2())
         assert rep.soft_margin == pytest.approx(rep.gamma_algo, rel=1e-12)
         assert rep.soft_margin == pytest.approx(5.0)
 
     def test_two_equal_margins_gap_is_log_m(self):
         model, theta, data = linear_instance(
             [1.0, 0.0], [[5.0, 0.0], [5.0, 1.0]], [1.0, 1.0])
-        rep = margin_report(model, theta, data, EXP, NormSpec.l2())
+        rep = margin_report(evaluate(EXP, model, theta, data), NormSpec.l2())
         assert rep.gamma_algo == pytest.approx(5.0)
         assert rep.soft_margin == pytest.approx(5.0 - math.log(2.0), rel=1e-12)
 
@@ -60,7 +60,7 @@ class TestMarginReport:
             data = Points(rng.standard_normal((4, 3)),
                           np.sign(rng.standard_normal(4)))
             for norm in (NormSpec.l1(), NormSpec.l2(), NormSpec.linf()):
-                rep = margin_report(model, theta, data, EXP, norm)
+                rep = margin_report(evaluate(EXP, model, theta, data), norm)
                 L = model.homogeneity_degree
                 lo = rep.gamma_algo - math.log(4) / rep.param_norms[norm.label()]**L
                 assert lo - 1e-10 <= rep.soft_margin <= rep.gamma_algo + 1e-10
@@ -74,13 +74,13 @@ class TestMarginReport:
             data = Points(rng.standard_normal((6, 3)),
                           np.sign(rng.standard_normal(6)))
             for norm in (NormSpec.l1(), NormSpec.l2(), NormSpec.linf()):
-                rep = margin_report(model, theta, data, EXP, norm)
+                rep = margin_report(evaluate(EXP, model, theta, data), norm)
                 assert rep.alignment <= 1.0 + 1e-10
 
     def test_zero_theta_rejected(self):
         model, theta, data = linear_instance([0.0, 0.0], [[1.0, 0.0]], [1.0])
         with pytest.raises(ZeroVectorError):
-            margin_report(model, theta, data, EXP, NormSpec.l2())
+            margin_report(evaluate(EXP, model, theta, data), NormSpec.l2())
 
     def test_frozen_second_layer_uses_trainable_norms(self):
         model = ModelSpec.two_layer_relu(2, 2, freeze_second_layer=True)
@@ -88,7 +88,7 @@ class TestMarginReport:
         u = np.array([10.0, 10.0])  # frozen; must not enter any norm
         theta = ParamVector.of(w, u, trainable=(True, False))
         data = Points([[1.0, 0.0]], [1.0])
-        rep = margin_report(model, theta, data, EXP, NormSpec.spectral())
+        rep = margin_report(evaluate(EXP, model, theta, data), NormSpec.spectral())
         assert rep.param_norms["linf"] == pytest.approx(3.0)
         assert rep.param_norms["spectral"] == pytest.approx(3.0)
         assert rep.q_min == pytest.approx(30.0)
@@ -158,7 +158,7 @@ class TestDetectSeparation:
 class TestKKTResiduals:
     def test_single_example_exact_stationarity(self):
         model, theta, data = linear_instance([2.0, 0.0], [[1.0, 0.0]], [1.0])
-        rep = kkt_residuals(model, theta, data, EXP, NormSpec.l2())
+        rep = kkt_residuals(evaluate(EXP, model, theta, data), NormSpec.l2())
         assert rep.eps == pytest.approx(0.0, abs=1e-14)
         assert rep.delta == pytest.approx(0.0, abs=1e-14)
         assert rep.lambdas[0] == pytest.approx(1.0, rel=1e-12)
@@ -166,26 +166,26 @@ class TestKKTResiduals:
     def test_symmetric_pair_at_max_margin_direction(self):
         model, theta, data = linear_instance(
             [1.3, 1.3], [[1.0, 1.0], [-1.0, -1.0]], [1.0, -1.0])
-        rep = kkt_residuals(model, theta, data, EXP, NormSpec.l2())
+        rep = kkt_residuals(evaluate(EXP, model, theta, data), NormSpec.l2())
         assert rep.eps <= 1e-8
         assert abs(rep.delta) <= 1e-14
 
     def test_off_direction_has_residual(self):
         model, theta, data = linear_instance(
             [1.0, 0.2], [[1.0, 1.0], [-1.0, -1.0]], [1.0, -1.0])
-        rep = kkt_residuals(model, theta, data, EXP, NormSpec.l2())
+        rep = kkt_residuals(evaluate(EXP, model, theta, data), NormSpec.l2())
         assert rep.eps > 1e-3
 
     def test_not_separated_rejected(self):
         model, theta, data = linear_instance([1.0, 0.0], [[-1.0, 0.0]], [1.0])
         with pytest.raises(NotSeparatedError):
-            kkt_residuals(model, theta, data, EXP, NormSpec.l2())
+            kkt_residuals(evaluate(EXP, model, theta, data), NormSpec.l2())
 
     def test_bounds_require_t0_margin(self):
         model, theta, data = linear_instance([2.0, 0.0], [[1.0, 0.0]], [1.0])
-        rep = kkt_residuals(model, theta, data, EXP, NormSpec.l2())
+        rep = kkt_residuals(evaluate(EXP, model, theta, data), NormSpec.l2())
         assert rep.bregman_bound is None and rep.delta_bound is None
-        rep = kkt_residuals(model, theta, data, EXP, NormSpec.l2(),
+        rep = kkt_residuals(evaluate(EXP, model, theta, data), NormSpec.l2(),
                             gamma_tilde_t0=0.5)
         assert rep.bregman_bound is not None and rep.delta_bound is not None
         assert rep.bregman_gap <= rep.bregman_bound + 1e-8
@@ -200,13 +200,13 @@ class TestKKTResiduals:
             if output_margins(model, theta, data).min() <= 0:
                 continue
             hits += 1
-            rep = kkt_residuals(model, theta, data, EXP, NormSpec.l2())
+            rep = kkt_residuals(evaluate(EXP, model, theta, data), NormSpec.l2())
             assert rep.delta >= -1e-12
 
     def test_log_domain_survives_extreme_margins(self):
         model, theta, data = linear_instance(
             [900.0, 900.0], [[1.0, 1.0], [-1.0, -1.1]], [1.0, -1.0])
-        rep = kkt_residuals(model, theta, data, EXP, NormSpec.l2())
+        rep = kkt_residuals(evaluate(EXP, model, theta, data), NormSpec.l2())
         assert np.isfinite(rep.eps)
         assert np.isfinite(rep.log_lambda).all()
         assert rep.eps <= 0.2  # near the (1,1) direction

@@ -1,0 +1,68 @@
+"""Golden trajectories: byte digests of short desk-shape runs.
+
+Each case is a shipped ``configs/desk_*.cfg`` with a few keys overridden,
+run for 2,000 steps (Shampoo, with its per-step eigendecompositions, for
+400) without a test set and logged every 20 steps. Step sizes are raised
+where the shipped one does not separate that soon, so every case has rows
+past separation and runs the KKT diagnostics. The SHA-256 of
+``run.csv`` and ``final.ckpt`` is pinned: a refactor that keeps the numbers
+keeps the bytes. The digests are the same under one and two BLAS threads at
+these shapes. Re-pinning a digest changes a check and is written up in
+CHANGES.md.
+"""
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from steepdesc.harness import config_from_values, read_flat_config, run_training
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+SHORT = {"epochs": 2000, "log_every": 20, "test_m": 0}
+
+CASES = {
+    "desk_gd": ("desk_gd", {}),
+    "desk_cd": ("desk_cd", {"step_size": 0.02}),
+    "desk_sd": ("desk_sd", {}),
+    "adam": ("desk_gd", {"optimizer": "adam"}),
+    "shampoo": ("desk_gd", {"optimizer": "shampoo", "step_size": 0.1,
+                            "epochs": 400}),
+    "switch_adam": ("desk_gd", {"switch_to": "adam"}),
+}
+
+GOLDEN = {
+    "desk_gd": {
+        "run.csv": "221507f0333b7398d58ad0f30cdefbc34f9f66988a3b3bda9382729ddf4876ad",
+        "final.ckpt": "485b09e49a2fd5be7595edc831537ed62a1403d9d14ae2338a82a2dd8e4e8a44"},
+    "desk_cd": {
+        "run.csv": "ad7dc7f64d85ede4c87c45b696c8a5e938b81d80f370542bd39ca34787f02680",
+        "final.ckpt": "5f8e3dad05fa73b29278b6560d0a3499adbb3ef61df7b4ab78d456c2f863fdc9"},
+    "desk_sd": {
+        "run.csv": "9d34545cf1c312aee54168f74d5ed7d3ac5a004002593b4f66e35175d47ebcdc",
+        "final.ckpt": "1b460681a41c6ba138ddd0545b9ccfdb674c60794de7e619ea6bdf6e2f0fc3f3"},
+    "adam": {
+        "run.csv": "8ae79900beb1254ec7a1b4d3e7d33d47103a11da490b1fc1c2395d51d8aa0a6d",
+        "final.ckpt": "ddf06534b4fde3dba94939b5d7fd1790f4c16c3e9493308d8a0c6aba1da89b6c"},
+    "shampoo": {
+        "run.csv": "3b64798907879bbae154f1314d9a986585bdd3172a1ebac56206e76d1316d8d9",
+        "final.ckpt": "3f3910c434e5fd6f6348dcca4c164df02bc3fd44157ed0969f89f436dc71c248"},
+    "switch_adam": {
+        "run.csv": "8bf3748271292075d0a75d802ce96ee1d17d03f90f56659b6c4de21042abf22d",
+        "final.ckpt": "19fdd4579d8a827d43ceb366d93bacf93a9fa604cdf6f9a603caafc379fce4c4"},
+}
+
+
+def run_digests(case: str, out: Path) -> dict:
+    base, overrides = CASES[case]
+    values = read_flat_config(CONFIGS / f"{base}.cfg")
+    values.update(SHORT, **overrides)
+    run_training(config_from_values(values, output_dir=str(out)))
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("run.csv", "final.ckpt")}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_digests_match_the_pins(case, tmp_path, monkeypatch):
+    monkeypatch.delenv("STEEPDESC_OUTPUT_DIR", raising=False)
+    assert run_digests(case, tmp_path / case) == GOLDEN[case]

@@ -4,8 +4,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from steepdesc.losses import (LossSpec, log_loss, log_terms, loss_subgradient,
-                              loss_subgradient_scaled, output_margins, phi,
+from steepdesc.losses import (LossSpec, evaluate, log_loss, log_terms,
+                              loss_subgradient, output_margins, phi,
                               phi_inverse, phi_prime, separation_threshold)
 from steepdesc.models import ModelSpec, network_subgradient
 from steepdesc.params import ParamVector, from_flat
@@ -204,7 +204,7 @@ class TestLossSubgradient:
         theta = ParamVector.of(rng.standard_normal(3))
         data = Points(rng.standard_normal((4, 3)), np.sign(rng.standard_normal(4)))
         g, _ = loss_subgradient(EXP, model, theta, data)
-        g_hat, scale, _ = loss_subgradient_scaled(EXP, model, theta, data)
+        g_hat, scale = evaluate(EXP, model, theta, data).subgradient
         assert g.allclose(g_hat.scaled(math.exp(scale)), rtol=1e-12, atol=1e-300)
 
     def test_direction_survives_extreme_margins(self):
@@ -213,7 +213,7 @@ class TestLossSubgradient:
         model = ModelSpec.linear(2)
         theta = ParamVector.of(np.array([2000.0, 0.0]))
         data = Points([[1.0, 0.1], [1.0, -0.2]], [1.0, 1.0])
-        g_hat, scale, _ = loss_subgradient_scaled(EXP, model, theta, data)
+        g_hat, scale = evaluate(EXP, model, theta, data).subgradient
         assert scale < -1500.0
         assert np.linalg.norm(g_hat.flat()) > 0.5
         assert np.isfinite(g_hat.flat()).all()
