@@ -17,8 +17,8 @@ import numpy as np
 
 from . import data as data_mod
 from .diagnostics import kkt_residuals, margin_report
-from .errors import NotSeparatedError, SteepdescError
-from .harness import (config_from_values, emit_svg, parse_norm,
+from .errors import ConfigError, NotSeparatedError, SteepdescError
+from .harness import (CSV_COLUMNS, config_from_values, emit_svg, parse_norm,
                       read_flat_config, run_training)
 from .losses import LossSpec, evaluate
 from .models import load_checkpoint
@@ -97,10 +97,14 @@ def _cmd_train(args) -> int:
     config = config_from_values(values, output_dir=args.output_dir)
     if config.output_dir is None:
         config = dataclasses.replace(config, output_dir="run_output")
+    metrics = [m.strip() for m in (args.svg_metrics or "").split(",") if m.strip()]
+    unknown = [m for m in metrics if m not in CSV_COLUMNS]
+    if unknown:
+        raise ConfigError(f"--svg-metrics: unknown column(s) {', '.join(unknown)}; "
+                          f"logged columns are {', '.join(CSV_COLUMNS)}")
     log = run_training(config)
     out = Path(config.output_dir)
-    if args.svg_metrics:
-        metrics = [m.strip() for m in args.svg_metrics.split(",") if m.strip()]
+    if metrics:
         axes = {"y": "log"} if args.svg_log_y else {}
         emit_svg(log, metrics, axes, out / "run.svg")
     for w in log.warnings:

@@ -78,12 +78,12 @@ def detect_separation(log_loss_value: float, loss: LossSpec) -> bool:
     return log_loss_value < separation_threshold(loss)
 
 
-def _alignment(theta_tr: ParamVector, g_hat_tr: ParamVector,
-               algo_norm: NormSpec, theta_norm: float) -> float:
-    dual = dual_norm_value(algo_norm, g_hat_tr)
+def _alignment(ev: Evaluation, theta_tr: ParamVector, algo_norm: NormSpec,
+               theta_norm: float) -> float:
+    dual = ev.subgradient_dual(algo_norm)
     if dual == 0.0 or theta_norm == 0.0:
         return math.nan
-    return -theta_tr.dot(g_hat_tr) / (theta_norm * dual)
+    return -theta_tr.dot(ev.g_hat_trainable) / (theta_norm * dual)
 
 
 def margin_report(ev: Evaluation, algo_norm: NormSpec) -> MarginReport:
@@ -108,8 +108,7 @@ def margin_report(ev: Evaluation, algo_norm: NormSpec) -> MarginReport:
     except ValueError:
         soft = math.nan
 
-    g_hat, _ = ev.subgradient
-    align = _alignment(theta_tr, g_hat.trainable_view(), algo_norm, algo_theta_norm)
+    align = _alignment(ev, theta_tr, algo_norm, algo_theta_norm)
 
     return MarginReport(
         q_min=q_min,
@@ -174,9 +173,8 @@ def kkt_residuals(ev: Evaluation, algo_norm: NormSpec,
     if q_min <= 0.0:
         raise NotSeparatedError(f"q_min = {q_min} <= 0: not separated")
 
-    g_hat, log_scale = ev.subgradient
-    g_hat_tr = g_hat.trainable_view()
-    dual_hat = dual_norm_value(algo_norm, g_hat_tr)
+    log_scale = ev.subgradient[1]
+    dual_hat = ev.subgradient_dual(algo_norm)
     if dual_hat == 0.0:
         raise ZeroVectorError("kkt_residuals: loss subgradient is exactly zero")
     log_g_dual = log_scale + math.log(dual_hat)
@@ -204,7 +202,7 @@ def kkt_residuals(ev: Evaluation, algo_norm: NormSpec,
 
     bregman_bound = delta_bound = None
     if gamma_tilde_t0 is not None and gamma_tilde_t0 > 0.0:
-        align = _alignment(theta_tr, g_hat_tr, algo_norm, theta_norm)
+        align = _alignment(ev, theta_tr, algo_norm, theta_norm)
         gt0 = gamma_tilde_t0 ** (2.0 / degree)
         bregman_bound = (1.0 - align) / gt0
         delta_bound = len(y) / (math.e * gt0 * degree * (-ev.log_loss))

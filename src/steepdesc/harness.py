@@ -28,7 +28,8 @@ from .diagnostics import (MarginReport, detect_separation, kkt_residuals,
                           margin_report)
 from .errors import ConfigError, DivergenceError, InvariantViolation
 from .losses import EXPONENTIAL, Evaluation, LossSpec, evaluate, output_margins
-from .models import InitSpec, ModelSpec, init_params, save_checkpoint
+from .models import (InitSpec, ModelSpec, Workspace, init_params,
+                     save_checkpoint)
 from .norms import NormSpec
 from .optimizers import (AdamMethod, OptimizerSpec, OptimizerState,
                          ShampooMethod, SteepestMethod, apply_switch, take_step)
@@ -36,6 +37,7 @@ from .params import ParamVector
 from .rng import derive_seeds
 
 FREEZE_LOG_LOSS = -700.0
+ACCURACY_CHUNK = 1024     # rows per hidden-layer product in evaluate_accuracy
 
 CSV_COLUMNS = ("step", "log_loss", "train_acc", "test_acc", "q_min",
                "gamma_1", "gamma_2", "gamma_inf", "gamma_sigma", "soft_margin",
@@ -154,8 +156,10 @@ def resolve_data(config: RunConfig) -> tuple[Dataset, Optional[Dataset]]:
 
 
 def evaluate_accuracy(model: ModelSpec, theta: ParamVector, data) -> float:
-    """Fraction of examples with y*f > 0; exact zeros count as errors."""
-    q = output_margins(model, theta, data)
+    """Fraction of examples with y*f > 0; exact zeros count as errors.
+    Rows are scored ``ACCURACY_CHUNK`` at a time through one reused buffer."""
+    hidden = np.empty((min(ACCURACY_CHUNK, len(data.X)), model.width))
+    q = output_margins(model, theta, data, hidden)
     return float((q > 0.0).mean())
 
 
@@ -216,11 +220,12 @@ def run_training(config: RunConfig, train: Optional[Dataset] = None,
     state = OptimizerState.fresh()
     log = RunLog(train_m=train.m)
     frozen = False
+    work = Workspace(model, train.m)
 
     for step in range(config.epochs + 1):
         if not theta.allfinite():
             raise DivergenceError(step, "non-finite parameters")
-        ev = evaluate(loss, model, theta, train)
+        ev = evaluate(loss, model, theta, train, work)
         if not np.isfinite(ev.q).all():
             raise DivergenceError(step, "non-finite margins")
         if not np.isfinite(ev.log_loss):

@@ -12,16 +12,21 @@ per-example weights, multipliers) is carried as logarithms:
 ``evaluate`` computes margins, log-weights and log-loss once per point, and
 its ``subgradient`` factors the gradient as exp(log_scale) * g_hat with g_hat
 well-conditioned, which the training step and the diagnostics all share.
+The subgradient is formed from the hidden layer the forward pass left in a
+``models.Workspace``; once a later ``evaluate`` reuses that workspace, an
+evaluation whose subgradient was not yet read raises ``StaleEvaluationError``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError
-from .models import ModelSpec, forward_batch, weighted_subgradient_sum
+from .errors import ConfigError, StaleEvaluationError
+from .models import (ModelSpec, Workspace, forward_batch,
+                     hidden_subgradient_sum)
+from .norms import NormSpec, dual_norm_value
 from .params import ParamVector
 
 EXPONENTIAL = "exponential"
@@ -49,9 +54,10 @@ class LossSpec:
         return cls(LOGISTIC)
 
 
-def output_margins(model: ModelSpec, theta: ParamVector, data) -> np.ndarray:
+def output_margins(model: ModelSpec, theta: ParamVector, data,
+                   hidden: np.ndarray | None = None) -> np.ndarray:
     """q_i = y_i f(x_i; theta) over the dataset (its ``X`` and ``y``)."""
-    return np.asarray(data.y, dtype=np.float64) * forward_batch(model, theta, data.X)
+    return np.asarray(data.y, dtype=np.float64) * forward_batch(model, theta, data.X, hidden)
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -123,7 +129,8 @@ def phi_prime(loss: LossSpec, u):
 
 @dataclass(frozen=True)
 class Evaluation:
-    """Margins ``q``, log-weights ``logw`` and ``log_loss`` at one point."""
+    """Margins ``q``, log-weights ``logw`` and ``log_loss`` at one point; its
+    hidden layer is in ``work`` while ``work.generation == generation``."""
 
     loss: LossSpec
     model: ModelSpec
@@ -132,6 +139,10 @@ class Evaluation:
     q: np.ndarray
     logw: np.ndarray
     log_loss: float
+    work: Workspace
+    generation: int
+    _duals: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @cached_property
     def subgradient(self) -> tuple[ParamVector, float]:
@@ -139,19 +150,37 @@ class Evaluation:
         g_hat = -sum_i exp(logw_i - log_scale) y_i h_i and log_scale the largest
         log-weight, so g_hat stays representable however small the loss. Formed
         on first read: a frozen, unlogged step never pays for it."""
+        if self.work.generation != self.generation:
+            raise StaleEvaluationError(
+                "evaluation's workspace was reused by a later evaluate")
         scale = float(np.max(self.logw))
         y = np.asarray(self.data.y, dtype=np.float64)
         coeffs = -y * np.exp(self.logw - scale)
-        return weighted_subgradient_sum(self.model, self.theta, self.data.X,
-                                        coeffs), scale
+        return hidden_subgradient_sum(self.model, self.theta, self.data.X,
+                                      coeffs, self.work), scale
+
+    @cached_property
+    def g_hat_trainable(self) -> ParamVector:
+        """The trainable blocks of g_hat."""
+        return self.subgradient[0].trainable_view()
+
+    def subgradient_dual(self, norm: NormSpec) -> float:
+        """||g_hat||* of the trainable blocks under ``norm``, once per norm."""
+        if norm not in self._duals:
+            self._duals[norm] = dual_norm_value(norm, self.g_hat_trainable)
+        return self._duals[norm]
 
 
-def evaluate(loss: LossSpec, model: ModelSpec, theta: ParamVector,
-             data) -> Evaluation:
-    """One forward pass over ``data`` and everything the loss derives from it."""
-    q = output_margins(model, theta, data)
+def evaluate(loss: LossSpec, model: ModelSpec, theta: ParamVector, data,
+             work: Workspace | None = None) -> Evaluation:
+    """One forward pass over ``data`` and everything the loss derives from it,
+    into ``work`` (a ``Workspace`` for the rows of ``data.X``) or a new one."""
+    if work is None:
+        work = Workspace(model, len(data.X))
+    work.generation += 1
+    q = output_margins(model, theta, data, work.hidden)
     return Evaluation(loss, model, theta, data, q, log_weights(loss, q),
-                      log_loss(loss, q))
+                      log_loss(loss, q), work, work.generation)
 
 
 def loss_subgradient(loss: LossSpec, model: ModelSpec, theta: ParamVector,

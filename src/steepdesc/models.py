@@ -11,6 +11,10 @@ ReLU is non-differentiable at 0; the fixed Clarke selection used throughout
 is relu'(0) = 0, so inactive and exactly-critical neurons contribute
 nothing. Per-example subgradients are reduced over examples in index order
 (delegated to matrix products with a fixed order on this platform).
+
+A training step forms relu(X @ W.T) once, into a ``Workspace`` allocated once
+per run: ``forward_batch`` writes it and ``hidden_subgradient_sum`` reads it,
+so a step makes no (m, width) temporaries.
 """
 from __future__ import annotations
 
@@ -103,14 +107,37 @@ def forward(model: ModelSpec, theta: ParamVector, x: np.ndarray) -> float:
     return float(u @ np.maximum(w @ x, 0.0))
 
 
-def forward_batch(model: ModelSpec, theta: ParamVector, X: np.ndarray) -> np.ndarray:
-    """f over the rows of X, shape (m,)."""
+class Workspace:
+    """(m, width) buffers for relu(X @ W.T) and the subgradient's weighted
+    activity mask; ``generation`` counts the forward passes written here."""
+
+    def __init__(self, model: ModelSpec, m: int):
+        self.hidden = np.empty((m, model.width))
+        self.weighted = np.empty((m, model.width))
+        self.generation = 0
+
+
+def forward_batch(model: ModelSpec, theta: ParamVector, X: np.ndarray,
+                  hidden: np.ndarray | None = None) -> np.ndarray:
+    """f over the rows of X, shape (m,).
+
+    A two-layer model writes relu(X @ W.T) into ``hidden``, when given, in
+    chunks of its row count; it ends holding the last chunk.
+    """
     _check_params(model, theta)
     X = np.asarray(X, dtype=np.float64)
     if model.kind == LINEAR:
         return X @ theta.blocks[0]
     w, u = theta.blocks
-    return np.maximum(X @ w.T, 0.0) @ u
+    if hidden is None:
+        return np.maximum(X @ w.T, 0.0) @ u
+    f = np.empty(len(X))
+    for start in range(0, len(X), len(hidden)):
+        rows = X[start:start + len(hidden)]
+        h = hidden[:len(rows)]
+        np.maximum(np.matmul(rows, w.T, out=h), 0.0, out=h)
+        np.matmul(h, u, out=f[start:start + len(rows)])
+    return f
 
 
 def network_subgradient(model: ModelSpec, theta: ParamVector, x: np.ndarray) -> ParamVector:
@@ -141,15 +168,28 @@ def weighted_subgradient_sum(model: ModelSpec, theta: ParamVector,
     """
     _check_params(model, theta)
     X = np.asarray(X, dtype=np.float64)
+    work = Workspace(model, len(X))
+    if model.kind == TWO_LAYER_RELU:
+        np.maximum(X @ theta.blocks[0].T, 0.0, out=work.hidden)
+    return hidden_subgradient_sum(model, theta, X, coeffs, work)
+
+
+def hidden_subgradient_sum(model: ModelSpec, theta: ParamVector, X: np.ndarray,
+                           coeffs: np.ndarray, work: Workspace) -> ParamVector:
+    """``weighted_subgradient_sum`` from the hidden layer that
+    ``forward_batch(model, theta, X, work.hidden)`` left in ``work``: the
+    same numbers, without a second product of X with W."""
+    _check_params(model, theta)
+    X = np.asarray(X, dtype=np.float64)
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if model.kind == LINEAR:
         return ParamVector((coeffs @ X,), theta.trainable)
-    w, u = theta.blocks
-    z = X @ w.T                       # (m, width)
-    active = (z > 0.0).astype(np.float64)
-    weighted = coeffs[:, None] * active
+    u = theta.blocks[1]
+    # relu(z) > 0 exactly where z > 0, so the mask comes from the hidden layer
+    weighted = np.greater(work.hidden, 0.0, out=work.weighted)
+    np.multiply(coeffs[:, None], weighted, out=weighted)
     dw = (weighted.T @ X) * u[:, None]
-    du = np.maximum(z, 0.0).T @ coeffs
+    du = work.hidden.T @ coeffs
     grad = ParamVector((dw, du), theta.trainable)
     return grad.embed_trainable(grad.trainable_view())
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import kkt_residuals
+from .errors import ConfigError
 from .losses import LossSpec, evaluate
 from .models import ModelSpec
 from .norms import L1, L2, LINF, MODULAR_MAX, SPECTRAL, NormSpec
@@ -43,7 +44,7 @@ def _vector_norm_kind(spec: NormSpec) -> str:
     kind = spec.kind
     if kind == MODULAR_MAX:
         if len(spec.block_norms) != 1:
-            raise ValueError("oracle supports modular norms with a single block only")
+            raise ConfigError("oracle supports modular norms with a single block only")
         kind = spec.block_norms[0].kind
     if kind == SPECTRAL:
         kind = L2
@@ -124,7 +125,7 @@ def grid_max_margin(algo_norm: NormSpec, data, resolution: float = 1e-3) -> Orac
     y = np.asarray(data.y, dtype=np.float64)
     d = X.shape[1]
     if d > 3:
-        raise ValueError(f"grid oracle supports d <= 3, got d = {d}")
+        raise ConfigError(f"grid oracle supports d <= 3, got d = {d}")
     kind = _vector_norm_kind(algo_norm)
     candidates = {L2: _l2_candidates, L1: _l1_candidates, LINF: _linf_candidates}[kind](
         d, resolution)

@@ -79,6 +79,16 @@ class TestTrainCommand:
         assert code == 0
         assert (out / "run.svg").exists()
 
+    def test_unknown_svg_metric_exits_1_before_training(self, tmp_path,
+                                                        toy_dataset, capsys):
+        cfg, out = write_config(tmp_path, toy_dataset)
+        code = cli_main(["train", "--config", str(cfg),
+                         "--svg-metrics", "gamma_2,nosuch"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nosuch" in err
+        assert not (out / "run.csv").exists()
+
 
 class TestGenerateDataCommand:
     def test_writes_dataset(self, tmp_path, capsys):
@@ -118,6 +128,14 @@ class TestOracleCommand:
         path = tmp_path / "x.csv"
         path.write_text("y,x1\n1,1.0\n")
         assert cli_main(["oracle", "--norm", "l7", "--data", str(path)]) == 1
+
+    @pytest.mark.parametrize("norm, d", [("l2", 4), ("modular:l2,l1", 2)])
+    def test_unsupported_instance_exits_1(self, tmp_path, capsys, norm, d):
+        from steepdesc.data import Dataset
+        path = tmp_path / "points.csv"
+        export_csv(Dataset(np.eye(2, d), np.array([1.0, -1.0])), path)
+        assert cli_main(["oracle", "--norm", norm, "--data", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestDiagnoseCommand:

@@ -5,11 +5,11 @@ import pytest
 
 from steepdesc.data import Dataset, save_dataset
 from steepdesc.errors import ConfigError, DivergenceError
-from steepdesc.harness import (CSV_COLUMNS, DataSource, RunConfig,
-                               config_from_values, emit_csv, emit_svg,
-                               evaluate_accuracy, parse_norm,
+from steepdesc.harness import (ACCURACY_CHUNK, CSV_COLUMNS, DataSource,
+                               RunConfig, config_from_values, emit_csv,
+                               emit_svg, evaluate_accuracy, parse_norm,
                                read_flat_config, run_training)
-from steepdesc.losses import LossSpec
+from steepdesc.losses import LossSpec, output_margins
 from steepdesc.models import InitSpec, ModelSpec
 from steepdesc.norms import NormSpec
 from steepdesc.optimizers import OptimizerSpec, SteepestMethod
@@ -125,6 +125,15 @@ class TestEvaluateAccuracy:
         theta = ParamVector.of(np.array([0.0, 1.0]))
         data = Dataset(np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([1.0, 1.0]))
         assert evaluate_accuracy(model, theta, data) == 0.5
+
+    def test_chunked_equals_one_product(self):
+        rng = np.random.default_rng(8)
+        m = 2 * ACCURACY_CHUNK + 37
+        model = ModelSpec.two_layer_relu(4, 3)
+        theta = ParamVector.of(rng.standard_normal((3, 4)), rng.standard_normal(3))
+        data = Dataset(rng.standard_normal((m, 4)), np.sign(rng.standard_normal(m)))
+        whole = float((output_margins(model, theta, data) > 0.0).mean())
+        assert evaluate_accuracy(model, theta, data) == whole
 
 
 class TestEmitCsv:

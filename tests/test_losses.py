@@ -4,10 +4,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from steepdesc.errors import StaleEvaluationError
 from steepdesc.losses import (LossSpec, evaluate, log_loss, log_terms,
                               loss_subgradient, output_margins, phi,
                               phi_inverse, phi_prime, separation_threshold)
-from steepdesc.models import ModelSpec, network_subgradient
+from steepdesc.models import (ModelSpec, Workspace, network_subgradient,
+                              weighted_subgradient_sum)
 from steepdesc.params import ParamVector, from_flat
 
 
@@ -217,3 +219,70 @@ class TestLossSubgradient:
         assert scale < -1500.0
         assert np.linalg.norm(g_hat.flat()) > 0.5
         assert np.isfinite(g_hat.flat()).all()
+
+
+def random_point(rng, model):
+    if model.kind == "linear":
+        return ParamVector.of(rng.standard_normal(model.input_dim))
+    return ParamVector.of(rng.standard_normal((model.width, model.input_dim)),
+                          rng.standard_normal(model.width),
+                          trainable=(True, not model.freeze_second_layer))
+
+
+def reference_sum(model, theta, X, coeffs):
+    """The weighted subgradient sum as fresh temporaries, one expression each."""
+    if model.kind == "linear":
+        return ParamVector((coeffs @ X,), theta.trainable)
+    w, u = theta.blocks
+    z = X @ w.T
+    active = (z > 0.0).astype(np.float64)
+    weighted = coeffs[:, None] * active
+    dw = (weighted.T @ X) * u[:, None]
+    du = np.maximum(z, 0.0).T @ coeffs
+    grad = ParamVector((dw, du), theta.trainable)
+    return grad.embed_trainable(grad.trainable_view())
+
+
+def fresh_subgradient(ev):
+    """The subgradient of ``ev`` from ``reference_sum``, checked bitwise
+    against ``weighted_subgradient_sum``."""
+    scale = float(np.max(ev.logw))
+    coeffs = -ev.data.y * np.exp(ev.logw - scale)
+    ref = reference_sum(ev.model, ev.theta, ev.data.X, coeffs)
+    assert same_bits(weighted_subgradient_sum(ev.model, ev.theta, ev.data.X, coeffs), ref)
+    return ref, scale
+
+
+def same_bits(a, b):
+    return all(x.tobytes() == y.tobytes() for x, y in zip(a.blocks, b.blocks))
+
+
+SHARED_MODELS = [ModelSpec.two_layer_relu(5, 16),
+                 ModelSpec.two_layer_relu(5, 16, freeze_second_layer=True),
+                 ModelSpec.linear(5)]
+
+
+class TestSharedHiddenLayer:
+    @pytest.mark.parametrize("model", SHARED_MODELS)
+    def test_equals_a_fresh_weighted_sum_across_reuse(self, model):
+        rng = np.random.default_rng(5)
+        data = Points(rng.standard_normal((37, 5)), np.sign(rng.standard_normal(37)))
+        work = Workspace(model, 37)
+        for _ in range(2):          # the second pass reuses the buffers
+            ev = evaluate(LOG, model, random_point(rng, model), data, work)
+            (g_hat, scale), (ref, ref_scale) = ev.subgradient, fresh_subgradient(ev)
+            assert scale == ref_scale
+            assert same_bits(g_hat, ref)
+
+    def test_stale_evaluation_raises(self):
+        rng = np.random.default_rng(6)
+        model = SHARED_MODELS[0]
+        data = Points(rng.standard_normal((9, 5)), np.sign(rng.standard_normal(9)))
+        work = Workspace(model, 9)
+        read = evaluate(EXP, model, random_point(rng, model), data, work)
+        read.subgradient
+        stale = evaluate(EXP, model, random_point(rng, model), data, work)
+        evaluate(EXP, model, random_point(rng, model), data, work)
+        with pytest.raises(StaleEvaluationError):
+            stale.subgradient
+        assert same_bits(read.subgradient[0], fresh_subgradient(read)[0])
