@@ -91,8 +91,9 @@ class RunConfig:
             raise ConfigError("epochs must be >= 1")
         if not (1 <= self.log_every <= self.epochs):
             raise ConfigError("log_every must satisfy 1 <= log_every <= epochs")
-        if not self.diagnostics_norms:
-            raise ConfigError("diagnostics_norms must be nonempty")
+        if len(self.diagnostics_norms) != 1:
+            raise ConfigError("diagnostics_norms takes exactly one norm, "
+                              "the algorithm's")
 
 
 @dataclass
@@ -480,13 +481,21 @@ def read_flat_config(path) -> dict:
     return values
 
 
+def _flag(v: dict, key: str) -> bool:
+    """A boolean key: only a parsed true/false (a Python bool) is accepted."""
+    value = v.get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def _optimizer_from_values(v: dict, prefix: str = "") -> OptimizerSpec:
     kind = str(v.get(prefix + "optimizer", "steepest")).lower()
     eta = float(v.get(prefix + "step_size", v.get("step_size", 1e-2)))
     if kind == "steepest":
         method = SteepestMethod(
             norm=parse_norm(str(v.get(prefix + "norm", "l2"))),
-            normalized=bool(v.get(prefix + "normalized", False)))
+            normalized=_flag(v, prefix + "normalized"))
     elif kind == "adam":
         method = AdamMethod(beta1=float(v.get(prefix + "beta1", 0.9)),
                             beta2=float(v.get(prefix + "beta2", 0.999)),
@@ -509,7 +518,7 @@ def config_from_values(values: dict, output_dir: Optional[str] = None) -> RunCon
         else:
             model = ModelSpec.two_layer_relu(
                 input_dim, int(v["width"]),
-                bool(v.get("freeze_second_layer", False)))
+                _flag(v, "freeze_second_layer"))
         init = InitSpec(scale=float(v.get("init_scale", 0.01)),
                         scheme=str(v.get("init_scheme", "fan_in_uniform")),
                         seed=int(v.get("init_seed", 0)))
@@ -519,7 +528,7 @@ def config_from_values(values: dict, output_dir: Optional[str] = None) -> RunCon
         if v.get("switch_to"):
             sw_values = {"optimizer": v["switch_to"],
                          "norm": v.get("switch_norm", v.get("norm", "l2")),
-                         "normalized": v.get("switch_normalized", False),
+                         "normalized": _flag(v, "switch_normalized"),
                          "step_size": v.get("switch_step_size",
                                             v.get("step_size", 1e-2)),
                          "beta1": v.get("beta1", 0.9),
@@ -555,14 +564,15 @@ def config_from_values(values: dict, output_dir: Optional[str] = None) -> RunCon
 
         epochs = int(v["epochs"])
         log_every = int(v.get("log_every", max(1, epochs // 1000)))
-        diag = tuple(parse_norm(p) for p in
-                     str(v.get("diagnostics_norms", "l2")).split(",") if p.strip())
+        # one norm; a comma list ("linf,l2") is an unknown norm, while
+        # "modular:l2,l1" stays one norm
+        diag = (parse_norm(str(v.get("diagnostics_norms", "l2"))),)
         out_dir = output_dir or v.get("output_dir")
         out_dir = os.environ.get("STEEPDESC_OUTPUT_DIR", out_dir) or None
         return RunConfig(model=model, init=init, loss=loss, optimizer=optimizer,
                          data=data, epochs=epochs, log_every=log_every,
                          diagnostics_norms=diag, seed=int(v.get("seed", 0)),
-                         output_dir=out_dir, strict=bool(v.get("strict", False)))
+                         output_dir=out_dir, strict=_flag(v, "strict"))
     except KeyError as exc:
         raise ConfigError(f"missing config key {exc.args[0]!r}") from exc
     except ConfigError:

@@ -208,19 +208,20 @@ def init_params(model: ModelSpec, init: InitSpec) -> ParamVector:
     then the second layer. ``fan_in_uniform`` draws w in [-a/d, a/d] and u
     in [-a/k', a/k']; ``coordinate_uniform`` puts every parameter on the
     same scale, w and u both in [-a/k', a/k']. The frozen variant draws u
-    identically but marks the block non-trainable.
+    identically but marks the block non-trainable. Each value is
+    ``uniform_in(-half, half)`` of one uniform, -half + (2 * half) * u.
     """
-    rng = Xoshiro256pp(init.seed)
     a = init.scale
     if model.kind == LINEAR:
         half = a / model.input_dim
-        theta = np.array([rng.uniform_in(-half, half) for _ in range(model.input_dim)])
-        return ParamVector((theta,))
+        us = Xoshiro256pp(init.seed).uniforms(model.input_dim)
+        return ParamVector((-half + (2.0 * half) * us,))
     d, k = model.input_dim, model.width
     w_half = a / d if init.scheme == FAN_IN_UNIFORM else a / k
     u_half = a / k
-    w = np.array([[rng.uniform_in(-w_half, w_half) for _ in range(d)] for _ in range(k)])
-    u = np.array([rng.uniform_in(-u_half, u_half) for _ in range(k)])
+    us = Xoshiro256pp(init.seed).uniforms(k * d + k)
+    w = -w_half + (2.0 * w_half) * us[:k * d].reshape(k, d)
+    u = -u_half + (2.0 * u_half) * us[k * d:]
     trainable = (True, not model.freeze_second_layer)
     return ParamVector((w, u), trainable)
 

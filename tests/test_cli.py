@@ -72,6 +72,27 @@ class TestTrainCommand:
         assert cli_main(["train", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("lines", [
+        "normalized = no",
+        "switch_to = steepest\nswitch_normalized = yes",
+        "freeze_second_layer = 1",
+        "strict = on",
+    ], ids=["normalized", "switch_normalized", "freeze_second_layer", "strict"])
+    def test_non_boolean_flag_exits_1(self, tmp_path, toy_dataset, capsys, lines):
+        cfg, out = write_config(tmp_path, toy_dataset)
+        cfg.write_text(cfg.read_text() + lines + "\n")
+        assert cli_main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "true or false" in err
+        assert not (out / "run.csv").exists()
+
+    def test_second_diagnostics_norm_exits_1(self, tmp_path, toy_dataset, capsys):
+        cfg, out = write_config(tmp_path, toy_dataset)
+        cfg.write_text(cfg.read_text() + "diagnostics_norms = l2,linf\n")
+        assert cli_main(["train", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (out / "run.csv").exists()
+
     def test_svg_emission(self, tmp_path, toy_dataset):
         cfg, out = write_config(tmp_path, toy_dataset)
         code = cli_main(["train", "--config", str(cfg),

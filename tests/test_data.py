@@ -1,14 +1,55 @@
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from steepdesc.data import (Dataset, TeacherSpec, export_csv, gen_teacher,
-                            load_dataset, load_idx, load_points_csv,
-                            sample_dataset, save_dataset)
+from steepdesc.data import (SAMPLE_CHUNK, Dataset, TeacherSpec, export_csv,
+                            gen_teacher, load_dataset, load_idx,
+                            load_points_csv, sample_dataset, save_dataset)
 from steepdesc.errors import DataFormatError
-from steepdesc.models import forward_batch
-from steepdesc.rng import Xoshiro256pp, derive_seeds, splitmix64_stream
+from steepdesc.models import ModelSpec, forward_batch
+from steepdesc.params import ParamVector
+from steepdesc.rng import (LANE_MIN, LANE_STEPS, Xoshiro256pp, derive_seeds,
+                           splitmix64_stream)
+
+SEEDS = st.integers(0, 2**64 - 1)
+# block sizes on both sides of the lane threshold and of a lane's length
+BLOCK_SIZES = st.one_of(
+    st.integers(0, 2 * LANE_STEPS + 1),
+    st.integers(LANE_MIN - 2, LANE_MIN + 2),
+    st.integers(1, 40).map(lambda k: LANE_MIN + k * LANE_STEPS - 1),
+    st.integers(LANE_MIN, 3 * LANE_MIN))
+
+
+def reference_gaussians(rng: Xoshiro256pp, n: int) -> list[float]:
+    """One Box-Muller pair per two uniform() calls, odd n drops a sine."""
+    out = []
+    while len(out) < n:
+        u1 = 1.0 - rng.uniform()
+        u2 = rng.uniform()
+        r = math.sqrt(-2.0 * math.log(u1))
+        out += [r * math.cos(2.0 * math.pi * u2), r * math.sin(2.0 * math.pi * u2)]
+    return out[:n]
+
+
+def reference_sample(teacher, m: int, seed: int):
+    """sample_dataset one row at a time: draw, score on its own, redraw zeros."""
+    width, d = teacher.blocks[0].shape
+    model = ModelSpec.two_layer_relu(d, width)
+    rng = Xoshiro256pp(seed)
+    X, y = np.empty((m, d)), np.empty(m)
+    for i in range(m):
+        while True:
+            row = np.array(reference_gaussians(rng, d))
+            f = forward_batch(model, teacher, row[None, :])[0]
+            if f != 0.0:
+                break
+        X[i] = row
+        y[i] = 1.0 if f > 0.0 else -1.0
+    return X, y
 
 
 class TestRng:
@@ -53,6 +94,26 @@ class TestRng:
     def test_derive_seeds_distinct(self):
         seeds = derive_seeds(0, 4)
         assert len(set(seeds)) == 4
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=SEEDS, sizes=st.lists(BLOCK_SIZES, min_size=1, max_size=2))
+    def test_block_draw_equals_scalar_calls(self, seed, sizes):
+        # a second draw reuses the generator's lane jump matrix
+        block, scalar = Xoshiro256pp(seed), Xoshiro256pp(seed)
+        for n in sizes:
+            drawn = block.next_u64s(n)
+            assert drawn.dtype == np.uint64 and drawn.shape == (n,)
+            assert drawn.tolist() == [scalar.next_u64() for _ in range(n)]
+            assert block._s == scalar._s
+        assert block.next_u64() == scalar.next_u64()
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=SEEDS, n=st.one_of(st.integers(0, 41),
+                                   st.integers(LANE_MIN // 2 - 2, LANE_MIN // 2 + 2)))
+    def test_gaussians_equal_the_pairwise_reference(self, seed, n):
+        block, scalar = Xoshiro256pp(seed), Xoshiro256pp(seed)
+        assert block.gaussians(n).tolist() == reference_gaussians(scalar, n)
+        assert block._s == scalar._s
 
 
 class TestTeacher:
@@ -100,6 +161,30 @@ class TestSampleDataset:
         a = sample_dataset(teacher, 40, seed=8)
         b = sample_dataset(teacher, 40, seed=8)
         assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
+
+    @settings(max_examples=12, deadline=None)
+    @given(d=st.integers(1, 7), width=st.integers(1, 4), data=st.data(),
+           seed=SEEDS, m=st.sampled_from([1, 5, SAMPLE_CHUNK - 1, SAMPLE_CHUNK + 3]))
+    def test_equals_the_one_row_reference(self, d, width, data, seed, m):
+        active = data.draw(st.integers(1, d))
+        teacher = gen_teacher(TeacherSpec(d, width, active, seed=seed % 1000))
+        ds = sample_dataset(teacher, m, seed)
+        X, y = reference_sample(teacher, m, seed)
+        assert ds.X.tobytes() == X.tobytes() and ds.y.tobytes() == y.tobytes()
+
+    def test_near_cancelling_teacher_keeps_one_row_signs(self):
+        # pairs of almost equal neurons with opposite output weights: f is
+        # a few ulps of its terms, where a batched product and a one-row
+        # product disagree in sign on a few percent of rows
+        d, k = 16, 8
+        rng = Xoshiro256pp(1)
+        base = rng.gaussians(d)
+        w = np.array([base * (1 + (j % 2) * 2**-50) + 1e-16 * rng.gaussians(d)
+                      for j in range(k)])
+        teacher = ParamVector((w, np.array([1.0, -1.0] * (k // 2))))
+        ds = sample_dataset(teacher, 600, seed=4)
+        X, y = reference_sample(teacher, 600, seed=4)
+        assert ds.X.tobytes() == X.tobytes() and ds.y.tobytes() == y.tobytes()
 
     def test_class_balance_default_teacher(self):
         # Monte-Carlo check used when building fixtures: the default sparse

@@ -1,4 +1,5 @@
-"""Golden trajectories: byte digests of short desk-shape runs.
+"""Golden trajectories: byte digests of short desk-shape runs and of the
+pinned-PRNG data and initialization they start from.
 
 Each case is a shipped ``configs/desk_*.cfg`` with a few keys overridden,
 run for 2,000 steps (Shampoo, with its per-step eigendecompositions, for
@@ -9,13 +10,23 @@ past separation and runs the KKT diagnostics. The SHA-256 of
 keeps the bytes. The digests are the same under one and two BLAS threads at
 these shapes. Re-pinning a digest changes a check and is written up in
 CHANGES.md.
+
+The data digests cover ``sample_dataset`` on the full-scale teacher over
+4,000 rows (several sampling chunks) and on a d=5, width-1, one-coordinate
+teacher that rejects about half its draws (rejections straddle chunk
+boundaries, and odd d discards a Gaussian per row), and ``init_params`` of
+the full-scale model.
 """
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from steepdesc.data import TeacherSpec, gen_teacher, sample_dataset
 from steepdesc.harness import config_from_values, read_flat_config, run_training
+from steepdesc.models import InitSpec, ModelSpec, init_params
+from steepdesc.rng import derive_seeds
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -66,3 +77,37 @@ def run_digests(case: str, out: Path) -> dict:
 def test_digests_match_the_pins(case, tmp_path, monkeypatch):
     monkeypatch.delenv("STEEPDESC_OUTPUT_DIR", raising=False)
     assert run_digests(case, tmp_path / case) == GOLDEN[case]
+
+
+DATA_GOLDEN = {
+    "fullscale_teacher": "33b79a5922d413409a97a897f65cdc54532f77795e1d8367d0874727e8fba5fe",
+    "redraw_teacher": "82ef0be3a8001307e463de93a3f54525814a2fcae9047c47a8896e25c2c69963",
+    "fullscale_init": "d5edfac9d2d0823e45cd37383377fe02f295a319f22a5f79bf45a0a93ef45dab",
+}
+
+
+def array_digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def data_digest(case: str) -> str:
+    if case == "fullscale_init":
+        model = ModelSpec.two_layer_relu(32, 1024)
+        # the init seed fullscale_gd.cfg (seed = 1, init_seed unset) resolves to
+        init = InitSpec(scale=0.01, scheme="fan_in_uniform",
+                        seed=derive_seeds(1, 3)[2])
+        return array_digest(*init_params(model, init).blocks)
+    if case == "fullscale_teacher":
+        spec, m, seed = TeacherSpec(32, 64, 3, seed=3), 4000, 17
+    else:
+        spec, m, seed = TeacherSpec(5, 1, 1, seed=2), 3000, 23
+    ds = sample_dataset(gen_teacher(spec), m, seed)
+    return array_digest(ds.X, ds.y)
+
+
+@pytest.mark.parametrize("case", sorted(DATA_GOLDEN))
+def test_data_digests_match_the_pins(case):
+    assert data_digest(case) == DATA_GOLDEN[case]

@@ -201,7 +201,7 @@ teacher_active = 2
 train_m = 16
 epochs = 200
 log_every = 50
-diagnostics_norms = linf,l2
+diagnostics_norms = linf
 seed = 7
 """
         path = tmp_path / "run.cfg"
@@ -213,6 +213,17 @@ seed = 7
         assert config.optimizer.method.normalized is True
         assert config.diagnostics_norms[0].kind == "linf"
         assert config.seed == 7
+
+    def test_one_diagnostics_norm(self):
+        with pytest.raises(ConfigError, match="exactly one norm"):
+            toy_config(diagnostics_norms=(NormSpec.l2(), NormSpec.linf()))
+        values = {"input_dim": 2, "width": 4, "teacher_active": 2,
+                  "train_m": 8, "epochs": 100,
+                  "diagnostics_norms": "modular:l2,l1"}
+        (norm,) = config_from_values(values).diagnostics_norms
+        assert norm == NormSpec.modular([NormSpec.l2(), NormSpec.l1()])
+        with pytest.raises(ConfigError):
+            config_from_values({**values, "diagnostics_norms": "l2,l1"})
 
     def test_switch_rule_parsed(self, tmp_path):
         path = tmp_path / "run.cfg"
