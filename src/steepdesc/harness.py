@@ -9,7 +9,8 @@ seed.
 Separation time t0 is the first *logged* step whose log-loss is below the
 loss threshold; its soft margin is frozen for the finite-time bounds.
 Once log-loss falls below -700 the parameters freeze (logging continues)
-to keep raw gradient magnitudes representable.
+to keep raw gradient magnitudes representable; ``RunLog.freeze_step`` is
+that step, and from there on only logged steps evaluate.
 """
 from __future__ import annotations
 
@@ -53,7 +54,6 @@ class DataSource:
     train_m: int = 0
     data_seed: Optional[int] = None
     test_m: int = 0
-    test_seed: Optional[int] = None
     dataset_path: Optional[str] = None
     idx_images: Optional[str] = None
     idx_labels: Optional[str] = None
@@ -130,6 +130,7 @@ class RunLog:
     rows: list = field(default_factory=list)
     t0_step: Optional[int] = None
     gamma_tilde_t0: Optional[float] = None
+    freeze_step: Optional[int] = None    # first step that no longer moves theta
     final_theta: Optional[ParamVector] = None
     train_m: int = 0
     warnings: list = field(default_factory=list)
@@ -146,8 +147,7 @@ def resolve_data(config: RunConfig) -> tuple[Dataset, Optional[Dataset]]:
         train = sample_dataset(teacher, src.train_m, data_seed, tmeta)
         test = None
         if src.test_m > 0:
-            test_seed = src.test_seed if src.test_seed is not None else sub[1]
-            test = sample_dataset(teacher, src.test_m, test_seed, tmeta)
+            test = sample_dataset(teacher, src.test_m, sub[1], tmeta)
         return train, test
     if src.kind == "dataset":
         return load_dataset(src.dataset_path), None
@@ -220,10 +220,13 @@ def run_training(config: RunConfig, train: Optional[Dataset] = None,
     opt_spec = config.optimizer
     state = OptimizerState.fresh()
     log = RunLog(train_m=train.m)
-    frozen = False
     work = Workspace(model, train.m)
 
     for step in range(config.epochs + 1):
+        logged = step % config.log_every == 0 or step == config.epochs
+        frozen = log.freeze_step is not None
+        if frozen and not logged:
+            continue            # theta is fixed: only logged steps evaluate
         if not theta.allfinite():
             raise DivergenceError(step, "non-finite parameters")
         ev = evaluate(loss, model, theta, train, work)
@@ -232,7 +235,7 @@ def run_training(config: RunConfig, train: Optional[Dataset] = None,
         if not np.isfinite(ev.log_loss):
             raise DivergenceError(step, "non-finite loss")
 
-        if step % config.log_every == 0 or step == config.epochs:
+        if logged:
             rep = margin_report(ev, config.diagnostics_norms[0])
             if log.t0_step is None and detect_separation(ev.log_loss, loss):
                 log.t0_step = step
@@ -243,11 +246,10 @@ def run_training(config: RunConfig, train: Optional[Dataset] = None,
                                        log.t0_step is not None,
                                        log.gamma_tilde_t0, frozen))
 
-        if step == config.epochs:
-            break
+        if frozen or step == config.epochs:
+            continue
         if ev.log_loss < FREEZE_LOG_LOSS:
-            frozen = True
-        if frozen:
+            log.freeze_step = step
             continue
         g_hat, log_scale = ev.subgradient
         theta, state = take_step(theta, g_hat, state, opt_spec,
@@ -507,8 +509,21 @@ def _optimizer_from_values(v: dict, prefix: str = "") -> OptimizerSpec:
     return OptimizerSpec(method=method, step_size=eta)
 
 
+CONFIG_KEYS = frozenset("""
+    model_kind input_dim width freeze_second_layer init_scale init_scheme
+    init_seed loss optimizer norm normalized step_size beta1 beta2 adam_eps
+    shampoo_eps_reg switch_to switch_norm switch_normalized switch_step_size
+    data_kind teacher_k teacher_active teacher_weight_scale teacher_seed
+    train_m test_m data_seed dataset_path idx_images idx_labels digit_a digit_b
+    epochs log_every diagnostics_norms seed output_dir strict""".split())
+
+
 def config_from_values(values: dict, output_dir: Optional[str] = None) -> RunConfig:
-    """Build a RunConfig from flat key/value pairs (see README for keys)."""
+    """Build a RunConfig from flat key/value pairs (``CONFIG_KEYS``, listed
+    in the README); any other key is a ``ConfigError``."""
+    unknown = sorted(set(values) - CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config key(s) {', '.join(unknown)}")
     v = dict(values)
     try:
         model_kind = str(v.get("model_kind", "two_layer_relu"))

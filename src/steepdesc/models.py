@@ -149,14 +149,13 @@ def network_subgradient(model: ModelSpec, theta: ParamVector, x: np.ndarray) -> 
     _check_params(model, theta)
     x = np.asarray(x, dtype=np.float64)
     if model.kind == LINEAR:
-        return ParamVector((x.copy(),), theta.trainable)
+        return ParamVector((x,), theta.trainable)
     w, u = theta.blocks
     z = w @ x
     active = (z > 0.0).astype(np.float64)
     dw = (u * active)[:, None] * x[None, :]
-    du = np.maximum(z, 0.0)
-    grad = ParamVector((dw, du), theta.trainable)
-    return grad.embed_trainable(grad.trainable_view())
+    du = np.maximum(z, 0.0) if theta.trainable[1] else np.zeros_like(z)
+    return ParamVector((dw, du), theta.trainable)
 
 
 def weighted_subgradient_sum(model: ModelSpec, theta: ParamVector,
@@ -188,10 +187,12 @@ def hidden_subgradient_sum(model: ModelSpec, theta: ParamVector, X: np.ndarray,
     # relu(z) > 0 exactly where z > 0, so the mask comes from the hidden layer
     weighted = np.greater(work.hidden, 0.0, out=work.weighted)
     np.multiply(coeffs[:, None], weighted, out=weighted)
-    dw = (weighted.T @ X) * u[:, None]
-    du = work.hidden.T @ coeffs
-    grad = ParamVector((dw, du), theta.trainable)
-    return grad.embed_trainable(grad.trainable_view())
+    grad = theta.zeros_like()     # a frozen second layer keeps a zero tail
+    dw, du = grad.blocks
+    np.multiply(weighted.T @ X, u[:, None], out=dw)
+    if theta.trainable[1]:
+        du[...] = work.hidden.T @ coeffs
+    return grad
 
 
 def euler_identity_check(model: ModelSpec, theta: ParamVector, x: np.ndarray) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (ConfigError, NonFiniteError, ShapeMismatchError,
                      ZeroVectorError)
-from .params import ParamVector, from_flat
+from .params import ParamVector
 
 L1 = "l1"
 L2 = "l2"
@@ -123,39 +123,41 @@ def thin_svd(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u[:, keep], s[keep], vt[keep].T
 
 
-def _spectral_block_norm(block: np.ndarray) -> float:
+_NUCLEAR = "nuclear"   # the dual of a spectral block; not a NormSpec kind
+_DUAL = {L1: LINF, L2: L2, LINF: L1, SPECTRAL: _NUCLEAR}
+
+
+def _block_norm(kind: str, block: np.ndarray) -> float:
+    """||block|| under a flat kind (over its coordinates), spectral or nuclear."""
+    if kind in _FLAT_KINDS:
+        x = block.ravel()
+        if kind == L1:
+            return float(np.abs(x).sum())
+        if kind == L2:
+            return float(np.linalg.norm(x))
+        return float(np.abs(x).max()) if x.size else 0.0
     m = _as_matrix(block)
     if m.size == 0 or not m.any():
         return 0.0
     if m.shape[1] == 1:
         return float(np.linalg.norm(m))
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+    s = np.linalg.svd(m, compute_uv=False)
+    return float(s[0] if kind == SPECTRAL else s.sum())
 
 
-def _nuclear_block_norm(block: np.ndarray) -> float:
-    m = _as_matrix(block)
-    if m.size == 0 or not m.any():
-        return 0.0
-    if m.shape[1] == 1:
-        return float(np.linalg.norm(m))
-    return float(np.linalg.svd(m, compute_uv=False).sum())
+def _block_kinds(spec: NormSpec, v: ParamVector) -> list[str]:
+    """The norm kind of each block of ``v`` under a per-block ``spec``."""
+    if spec.kind == SPECTRAL:
+        return [SPECTRAL] * v.n_blocks
+    return [b.kind for b in spec.block_norms]
 
 
 def norm_value(spec: NormSpec, v: ParamVector) -> float:
     """||v|| under ``spec``; always >= 0."""
     _check_blocks(spec, v)
     if spec.kind in _FLAT_KINDS:
-        flat = v.flat()
-        if spec.kind == L1:
-            return float(np.abs(flat).sum())
-        if spec.kind == L2:
-            return float(np.linalg.norm(flat))
-        return float(np.abs(flat).max()) if flat.size else 0.0
-    if spec.kind == SPECTRAL:
-        return max(_spectral_block_norm(b) for b in v.blocks)
-    # modular_max
-    return max(norm_value(bn, ParamVector((b,)))
-               for bn, b in zip(spec.block_norms, v.blocks))
+        return _block_norm(spec.kind, v.flat())
+    return max(_block_norm(k, b) for k, b in zip(_block_kinds(spec, v), v.blocks))
 
 
 def dual_norm_value(spec: NormSpec, g: ParamVector) -> float:
@@ -164,16 +166,9 @@ def dual_norm_value(spec: NormSpec, g: ParamVector) -> float:
     the spectral norm is the nuclear norm."""
     _check_blocks(spec, g)
     if spec.kind in _FLAT_KINDS:
-        flat = g.flat()
-        if spec.kind == L1:
-            return float(np.abs(flat).max()) if flat.size else 0.0
-        if spec.kind == L2:
-            return float(np.linalg.norm(flat))
-        return float(np.abs(flat).sum())
-    if spec.kind == SPECTRAL:
-        return float(sum(_nuclear_block_norm(b) for b in g.blocks))
-    return float(sum(dual_norm_value(bn, ParamVector((b,)))
-                     for bn, b in zip(spec.block_norms, g.blocks)))
+        return _block_norm(_DUAL[spec.kind], g.flat())
+    return float(sum(_block_norm(_DUAL[k], b)
+                     for k, b in zip(_block_kinds(spec, g), g.blocks)))
 
 
 def _unit_flat_direction(kind: str, flat: np.ndarray) -> np.ndarray:
@@ -190,17 +185,14 @@ def _unit_flat_direction(kind: str, flat: np.ndarray) -> np.ndarray:
     return -np.sign(flat)
 
 
-def _unit_block_direction(spec: NormSpec, block: np.ndarray) -> np.ndarray:
+def _unit_block_direction(kind: str, block: np.ndarray) -> np.ndarray:
     """Unit steepest direction of a single block; zero block maps to zero."""
     if not block.any():
         return np.zeros_like(block)
-    if spec.kind in _FLAT_KINDS:
-        return _unit_flat_direction(spec.kind, block.ravel()).reshape(block.shape)
-    if spec.kind == SPECTRAL:
-        m = _as_matrix(block)
-        u, _, v = thin_svd(m)
+    if kind == SPECTRAL:
+        u, _, v = thin_svd(_as_matrix(block))
         return -(u @ v.T).reshape(block.shape)
-    raise ValueError(f"no block direction for kind {spec.kind!r}")
+    return _unit_flat_direction(kind, block.ravel()).reshape(block.shape)
 
 
 def unit_steepest_direction(spec: NormSpec, g: ParamVector) -> ParamVector:
@@ -215,15 +207,10 @@ def unit_steepest_direction(spec: NormSpec, g: ParamVector) -> ParamVector:
     if dual_norm_value(spec, g) == 0.0:
         return g.zeros_like()
     if spec.kind in _FLAT_KINDS:
-        return from_flat(_unit_flat_direction(spec.kind, g.flat()),
-                         g.shapes(), g.trainable)
-    if spec.kind == SPECTRAL:
-        block_specs = [NormSpec.spectral()] * g.n_blocks
-    else:
-        block_specs = list(spec.block_norms)
-    blocks = tuple(_unit_block_direction(bs, b)
-                   for bs, b in zip(block_specs, g.blocks))
-    return ParamVector(blocks, g.trainable)
+        return g.like(_unit_flat_direction(spec.kind, g.flat()))
+    return ParamVector(tuple(_unit_block_direction(k, b)
+                             for k, b in zip(_block_kinds(spec, g), g.blocks)),
+                       g.trainable)
 
 
 def steepest_direction(spec: NormSpec, g: ParamVector) -> ParamVector:
@@ -238,6 +225,18 @@ def steepest_direction(spec: NormSpec, g: ParamVector) -> ParamVector:
     return unit.scaled(dual) if dual != 0.0 else unit
 
 
+def _flat_subgradient(kind: str, x: np.ndarray, value: float) -> np.ndarray:
+    """The fixed subgradient of a flat norm at ``x``, whose norm is ``value``."""
+    if kind == L2:
+        return x / value
+    if kind == L1:
+        return np.sign(x)
+    j = int(np.argmax(np.abs(x)))
+    n = np.zeros_like(x)
+    n[j] = np.sign(x[j])
+    return n
+
+
 def norm_subgradient(spec: NormSpec, theta: ParamVector) -> ParamVector:
     """A fixed element of the subdifferential of ||.|| at ``theta`` != 0.
 
@@ -250,36 +249,17 @@ def norm_subgradient(spec: NormSpec, theta: ParamVector) -> ParamVector:
     if value == 0.0:
         raise ZeroVectorError("norm_subgradient is undefined at theta = 0")
     if spec.kind in _FLAT_KINDS:
-        flat = theta.flat()
-        if spec.kind == L2:
-            n = flat / value
-        elif spec.kind == L1:
-            n = np.sign(flat)
-        else:
-            j = int(np.argmax(np.abs(flat)))
-            n = np.zeros_like(flat)
-            n[j] = np.sign(flat[j])
-        return from_flat(n, theta.shapes(), theta.trainable)
+        return theta.like(_flat_subgradient(spec.kind, theta.flat(), value))
 
-    if spec.kind == SPECTRAL:
-        block_specs = [NormSpec.spectral()] * theta.n_blocks
-        block_values = [_spectral_block_norm(b) for b in theta.blocks]
+    kinds = _block_kinds(spec, theta)
+    values = [_block_norm(k, b) for k, b in zip(kinds, theta.blocks)]
+    j = int(np.argmax(values))  # lowest index on ties
+    b = theta.blocks[j]
+    if kinds[j] == SPECTRAL:
+        u, _, v = thin_svd(_as_matrix(b))
+        sub = np.outer(u[:, 0], v[:, 0]).reshape(b.shape)
     else:
-        block_specs = list(spec.block_norms)
-        block_values = [norm_value(bs, ParamVector((b,)))
-                        for bs, b in zip(block_specs, theta.blocks)]
-    j = int(np.argmax(block_values))  # lowest index on ties
-    blocks = []
-    for i, b in enumerate(theta.blocks):
-        if i != j:
-            blocks.append(np.zeros_like(b))
-            continue
-        bs = block_specs[i]
-        if bs.kind == SPECTRAL:
-            m = _as_matrix(b)
-            u, _, v = thin_svd(m)
-            blocks.append(np.outer(u[:, 0], v[:, 0]).reshape(b.shape))
-        else:
-            sub = norm_subgradient(bs, ParamVector((b,)))
-            blocks.append(sub.blocks[0])
+        sub = _flat_subgradient(kinds[j], b.ravel(), values[j]).reshape(b.shape)
+    blocks = [np.zeros_like(other) for other in theta.blocks]
+    blocks[j] = sub
     return ParamVector(tuple(blocks), theta.trainable)

@@ -78,7 +78,7 @@ class OptimizerState:
     """Per-run accumulators; create fresh per run and after a switch."""
 
     t: int = 0
-    adam_m: Optional[ParamVector] = None
+    adam_m: Optional[ParamVector] = None   # moments of the trainable blocks
     adam_v: Optional[ParamVector] = None
     shampoo_left: dict = field(default_factory=dict)
     shampoo_right: dict = field(default_factory=dict)
@@ -111,7 +111,7 @@ def step_steepest(theta: ParamVector, g: ParamVector, spec: OptimizerSpec,
     # an overflowed factor deliberately propagates inf/nan so the caller's
     # divergence check fires
     with np.errstate(invalid="ignore", over="ignore"):
-        return theta + theta.embed_trainable(unit_tr).scaled(factor)
+        return theta + theta.embed_trainable(unit_tr.scaled(factor))
 
 
 def step_adam(theta: ParamVector, g: ParamVector, state: OptimizerState,
@@ -120,27 +120,21 @@ def step_adam(theta: ParamVector, g: ParamVector, state: OptimizerState,
     method = spec.method
     if not isinstance(method, AdamMethod):
         raise TypeError("step_adam requires an Adam method")
-    m_prev = state.adam_m if state.adam_m is not None else g.zeros_like()
-    v_prev = state.adam_v if state.adam_v is not None else g.zeros_like()
+    g_tr = g.trainable_view()
+    m_prev = state.adam_m if state.adam_m is not None else g_tr.zeros_like()
+    v_prev = state.adam_v if state.adam_v is not None else g_tr.zeros_like()
     t = state.t + 1
     b1, b2, eps = method.beta1, method.beta2, method.eps
-    new_m, new_v, deltas = [], [], []
-    for gb, mb, vb in zip(g.blocks, m_prev.blocks, v_prev.blocks):
-        m = b1 * mb + (1.0 - b1) * gb
-        v = b2 * vb + (1.0 - b2) * gb * gb
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        denom = np.sqrt(v_hat) + eps
-        upd = np.divide(m_hat, denom, out=np.zeros_like(m_hat), where=denom > 0.0)
-        new_m.append(m)
-        new_v.append(v)
-        deltas.append(-eta * upd)
-    delta = ParamVector(tuple(deltas), theta.trainable)
-    delta = theta.embed_trainable(delta.trainable_view())
-    new_state = OptimizerState(t=t,
-                               adam_m=ParamVector(tuple(new_m), g.trainable),
-                               adam_v=ParamVector(tuple(new_v), g.trainable))
-    return theta + delta, new_state
+    gf = g_tr.flat()
+    m = b1 * m_prev.flat() + (1.0 - b1) * gf
+    v = b2 * v_prev.flat() + (1.0 - b2) * gf * gf
+    m_hat = m / (1.0 - b1**t)
+    v_hat = v / (1.0 - b2**t)
+    denom = np.sqrt(v_hat) + eps
+    upd = np.divide(m_hat, denom, out=np.zeros_like(m_hat), where=denom > 0.0)
+    delta = theta.embed_trainable(g_tr.like(-eta * upd))
+    return theta + delta, OptimizerState(t=t, adam_m=g_tr.like(m),
+                                         adam_v=g_tr.like(v))
 
 
 def _inverse_fourth_root(mat: np.ndarray) -> np.ndarray:
@@ -174,11 +168,8 @@ def step_shampoo(theta: ParamVector, g: ParamVector, state: OptimizerState,
         raise TypeError("step_shampoo requires a Shampoo method")
     new_left = dict(state.shampoo_left)
     new_right = dict(state.shampoo_right)
-    new_blocks = []
-    for i, (tb, gb, tr) in enumerate(zip(theta.blocks, g.blocks, theta.trainable)):
-        if not tr:
-            new_blocks.append(tb.copy())
-            continue
+    deltas = []
+    for i, gb in enumerate(g.trainable_view().blocks):
         gm = gb.reshape(-1, 1) if gb.ndim == 1 else gb
         rows, cols = gm.shape
         left = new_left.get(i)
@@ -191,10 +182,10 @@ def step_shampoo(theta: ParamVector, g: ParamVector, state: OptimizerState,
         new_left[i] = left
         new_right[i] = right
         upd = _inverse_fourth_root(left) @ gm @ _inverse_fourth_root(right)
-        new_blocks.append(tb - eta * upd.reshape(tb.shape))
+        deltas.append(-eta * upd.reshape(gb.shape))
     new_state = OptimizerState(t=state.t + 1,
                                shampoo_left=new_left, shampoo_right=new_right)
-    return ParamVector(tuple(new_blocks), theta.trainable), new_state
+    return theta + theta.embed_trainable(ParamVector(tuple(deltas))), new_state
 
 
 def apply_switch(spec: OptimizerSpec, state: OptimizerState,

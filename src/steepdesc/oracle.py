@@ -146,7 +146,7 @@ def grid_max_margin(algo_norm: NormSpec, data, resolution: float = 1e-3) -> Orac
         best_theta = ties[order[0]]
         best_gamma = max(best_gamma, top)
     return OracleResult(gamma_star=best_gamma,
-                        theta_star=ParamVector((best_theta.copy(),)),
+                        theta_star=ParamVector((best_theta,)),
                         resolution=resolution)
 
 

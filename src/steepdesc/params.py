@@ -1,43 +1,73 @@
-"""Block-structured parameter container.
+"""Block-structured parameter container over one contiguous buffer.
 
-A parameter vector is an ordered list of dense float64 blocks (matrices or
-vectors). Trainability is tracked per block: frozen blocks ride along in
-the container but are excluded from the optimization variables, so norm
-and inner-product measurements of the parameters go through
-``trainable_view()``.
+A parameter vector keeps its coordinates in one contiguous float64 buffer,
+block after block (C order within a block); its blocks, matrices or vectors,
+are reshaped views of it. The trainable blocks come first, so the
+optimization variables are a leading slice, which ``trainable_view()``
+returns without a copy, and the frozen blocks are the tail. ``flat()`` is
+the buffer and ``from_flat`` wraps its input without a copy. Elementwise
+operations are one numpy call on the buffer and return a new vector; ``dot``
+and ``allclose`` reduce block by block. Only the function that builds a
+vector fills its buffer in; once returned, a vector is never written.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import ShapeMismatchError
 
 
+def _views(buffer: np.ndarray, shapes) -> tuple[np.ndarray, ...]:
+    shapes = tuple(shapes)
+    sizes = [math.prod(shape) for shape in shapes]
+    if sum(sizes) != buffer.size:
+        raise ShapeMismatchError(
+            f"flat vector has {buffer.size} coordinates, shapes need {sum(sizes)}"
+        )
+    views, offset = [], 0
+    for shape, n in zip(shapes, sizes):
+        views.append(buffer[offset:offset + n].reshape(shape))
+        offset += n
+    return tuple(views)
+
+
 @dataclass(frozen=True)
 class ParamVector:
-    """Ordered blocks of float64 arrays with per-block trainability flags."""
+    """Blocks viewing one float64 buffer, with per-block trainability flags
+    (trainable blocks first). Built from arrays, the blocks are copied into
+    a new buffer; ``buffer``, when given, is the one the blocks already
+    view, as ``from_flat`` builds them."""
 
     blocks: tuple[np.ndarray, ...]
     trainable: tuple[bool, ...] = field(default=())
+    buffer: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        blocks = tuple(np.ascontiguousarray(b, dtype=np.float64) for b in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
-        if not self.trainable:
-            object.__setattr__(self, "trainable", (True,) * len(blocks))
-        if len(self.trainable) != len(blocks):
+        if self.buffer is None:
+            arrays = [np.asarray(b, dtype=np.float64) for b in self.blocks]
+            buffer = (np.concatenate([a.ravel() for a in arrays]) if arrays
+                      else np.zeros(0))
+            object.__setattr__(self, "buffer", buffer)
+            object.__setattr__(self, "blocks",
+                               _views(buffer, [a.shape for a in arrays]))
+        trainable = tuple(self.trainable) or (True,) * len(self.blocks)
+        if len(trainable) != len(self.blocks):
             raise ShapeMismatchError(
-                f"trainable flags ({len(self.trainable)}) do not match "
-                f"block count ({len(blocks)})"
+                f"trainable flags ({len(trainable)}) do not match "
+                f"block count ({len(self.blocks)})"
             )
+        if not all(trainable[:trainable.count(True)]):
+            raise ShapeMismatchError(
+                f"trainable blocks must come first, got flags {trainable}")
+        object.__setattr__(self, "trainable", trainable)
 
     @classmethod
     def of(cls, *arrays, trainable: Sequence[bool] | None = None) -> "ParamVector":
-        return cls(tuple(np.asarray(a) for a in arrays),
-                   tuple(trainable) if trainable is not None else ())
+        return cls(arrays, tuple(trainable or ()))
 
     @property
     def n_blocks(self) -> int:
@@ -45,72 +75,62 @@ class ParamVector:
 
     @property
     def size(self) -> int:
-        return sum(b.size for b in self.blocks)
+        return self.buffer.size
 
     def shapes(self) -> tuple[tuple[int, ...], ...]:
         return tuple(b.shape for b in self.blocks)
 
+    def like(self, flat: np.ndarray) -> "ParamVector":
+        """This vector's blocks and flags over the coordinates ``flat``."""
+        return from_flat(flat, self.shapes(), self.trainable)
+
     def check_same_structure(self, other: "ParamVector", what: str = "operand") -> None:
         if self.shapes() != other.shapes():
-            for i, (a, b) in enumerate(zip(self.blocks, other.blocks)):
-                if a.shape != b.shape:
-                    raise ShapeMismatchError(
-                        f"{what}: block {i} has shape {b.shape}, expected {a.shape}"
-                    )
             raise ShapeMismatchError(
-                f"{what}: block count {other.n_blocks}, expected {self.n_blocks}"
-            )
+                f"{what}: block shapes {other.shapes()}, expected {self.shapes()}")
 
     def flat(self) -> np.ndarray:
-        """All coordinates concatenated in block order (C order per block)."""
-        if not self.blocks:
-            return np.zeros(0)
-        return np.concatenate([b.ravel() for b in self.blocks])
+        """All coordinates in block order (C order per block): the buffer."""
+        return self.buffer
 
     def trainable_view(self) -> "ParamVector":
-        """The optimization variables: trainable blocks only."""
-        kept = tuple(b for b, t in zip(self.blocks, self.trainable) if t)
-        return ParamVector(kept)
+        """The optimization variables: the trainable blocks, a prefix view."""
+        if all(self.trainable):
+            return self
+        kept = self.blocks[:self.trainable.count(True)]
+        return ParamVector(kept, (), self.buffer[:sum(b.size for b in kept)])
 
     def embed_trainable(self, update: "ParamVector") -> "ParamVector":
-        """Scatter trainable-structured blocks back into the full layout.
+        """Trainable-structured ``update`` in the full layout.
 
-        Frozen positions are filled with zeros: the result is a full-shape
-        displacement that never moves a frozen block.
+        The frozen tail is zero: the result is a full-shape displacement
+        that never moves a frozen block.
         """
-        it = iter(update.blocks)
-        out = []
-        for b, t in zip(self.blocks, self.trainable):
-            if t:
-                nb = next(it)
-                if nb.shape != b.shape:
-                    raise ShapeMismatchError(
-                        f"embed_trainable: got shape {nb.shape}, expected {b.shape}"
-                    )
-                out.append(nb)
-            else:
-                out.append(np.zeros_like(b))
-        return ParamVector(tuple(out), self.trainable)
+        expected = self.trainable_view().shapes()
+        if update.shapes() != expected:
+            raise ShapeMismatchError(
+                f"embed_trainable: got shapes {update.shapes()}, expected {expected}")
+        tail = self.size - update.size
+        return self.like(np.concatenate((update.buffer, np.zeros(tail)))
+                         if tail else update.buffer)
 
     def copy(self) -> "ParamVector":
-        return ParamVector(tuple(b.copy() for b in self.blocks), self.trainable)
+        return self.like(self.buffer.copy())
 
     def zeros_like(self) -> "ParamVector":
-        return ParamVector(tuple(np.zeros_like(b) for b in self.blocks), self.trainable)
+        return self.like(np.zeros(self.size))
 
     def __add__(self, other: "ParamVector") -> "ParamVector":
         self.check_same_structure(other)
-        return ParamVector(tuple(a + b for a, b in zip(self.blocks, other.blocks)),
-                           self.trainable)
+        return self.like(self.buffer + other.buffer)
 
     def __sub__(self, other: "ParamVector") -> "ParamVector":
         self.check_same_structure(other)
-        return ParamVector(tuple(a - b for a, b in zip(self.blocks, other.blocks)),
-                           self.trainable)
+        return self.like(self.buffer - other.buffer)
 
     def scaled(self, c: float) -> "ParamVector":
         """Every block multiplied by ``c`` (plain vector scaling)."""
-        return ParamVector(tuple(c * b for b in self.blocks), self.trainable)
+        return self.like(c * self.buffer)
 
     def scaled_trainable(self, c: float) -> "ParamVector":
         """Trainable blocks multiplied by ``c``; frozen blocks untouched.
@@ -118,9 +138,8 @@ class ParamVector:
         This is the scaling under which the homogeneity identity
         f(x; c*theta) = c^L f(x; theta) is stated.
         """
-        out = tuple(c * b if t else b.copy()
-                    for b, t in zip(self.blocks, self.trainable))
-        return ParamVector(out, self.trainable)
+        n = self.trainable_view().size
+        return self.like(np.concatenate((c * self.buffer[:n], self.buffer[n:])))
 
     def dot(self, other: "ParamVector") -> float:
         self.check_same_structure(other)
@@ -128,7 +147,7 @@ class ParamVector:
                          for a, b in zip(self.blocks, other.blocks)))
 
     def allfinite(self) -> bool:
-        return all(np.isfinite(b).all() for b in self.blocks)
+        return bool(np.isfinite(self.buffer).all())
 
     def allclose(self, other: "ParamVector", rtol: float = 1e-12, atol: float = 0.0) -> bool:
         return self.shapes() == other.shapes() and all(
@@ -139,16 +158,7 @@ class ParamVector:
 
 def from_flat(flat: np.ndarray, shapes: Iterable[tuple[int, ...]],
               trainable: Sequence[bool] | None = None) -> ParamVector:
-    """Rebuild a ParamVector from flat coordinates and block shapes."""
-    flat = np.asarray(flat, dtype=np.float64)
-    blocks = []
-    offset = 0
-    for shape in shapes:
-        n = int(np.prod(shape)) if shape else 1
-        blocks.append(flat[offset:offset + n].reshape(shape))
-        offset += n
-    if offset != flat.size:
-        raise ShapeMismatchError(
-            f"flat vector has {flat.size} coordinates, shapes need {offset}"
-        )
-    return ParamVector(tuple(blocks), tuple(trainable) if trainable else ())
+    """A ParamVector over flat coordinates and block shapes; a contiguous
+    float64 ``flat`` becomes its buffer without a copy."""
+    flat = np.ascontiguousarray(flat, dtype=np.float64).reshape(-1)
+    return ParamVector(_views(flat, shapes), tuple(trainable or ()), flat)

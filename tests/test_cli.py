@@ -93,6 +93,14 @@ class TestTrainCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (out / "run.csv").exists()
 
+    def test_misspelt_key_exits_1(self, tmp_path, toy_dataset, capsys):
+        cfg, out = write_config(tmp_path, toy_dataset)
+        cfg.write_text(cfg.read_text() + "step_sise = 5.0\n")
+        assert cli_main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "step_sise" in err
+        assert not (out / "run.csv").exists()
+
     def test_svg_emission(self, tmp_path, toy_dataset):
         cfg, out = write_config(tmp_path, toy_dataset)
         code = cli_main(["train", "--config", str(cfg),
@@ -200,6 +208,22 @@ class TestDiagnoseCommand:
                          "--data", str(toy_dataset)])
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    def test_frozen_block_before_a_trainable_one_exits_1(self, tmp_path,
+                                                         toy_dataset, capsys):
+        model = ModelSpec.two_layer_relu(2, 8, freeze_second_layer=True)
+        ckpt = tmp_path / "theta.ckpt"
+        save_checkpoint(ckpt, model, init_params(model, InitSpec(0.05, seed=3)))
+        blob = ckpt.read_bytes()
+        swapped = blob.replace(b'"trainable": [true, false]',
+                               b'"trainable": [false, true]')
+        assert swapped != blob
+        ckpt.write_bytes(swapped)
+        code = cli_main(["diagnose", "--checkpoint", str(ckpt),
+                         "--data", str(toy_dataset)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: ") and "come first" in err
 
 
 class TestSweepCommand:

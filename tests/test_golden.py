@@ -4,7 +4,8 @@ pinned-PRNG data and initialization they start from.
 Each case is a shipped ``configs/desk_*.cfg`` with a few keys overridden,
 run for 2,000 steps (Shampoo, with its per-step eigendecompositions, for
 400) without a test set and logged every 20 steps. Step sizes are raised
-where the shipped one does not separate that soon, so every case has rows
+where the shipped one does not separate that soon, and the frozen-second-layer
+case starts from a larger init for the same reason, so every case has rows
 past separation and runs the KKT diagnostics. The SHA-256 of
 ``run.csv`` and ``final.ckpt`` is pinned: a refactor that keeps the numbers
 keeps the bytes. The digests are the same under one and two BLAS threads at
@@ -40,6 +41,12 @@ CASES = {
     "shampoo": ("desk_gd", {"optimizer": "shampoo", "step_size": 0.1,
                             "epochs": 400}),
     "switch_adam": ("desk_gd", {"switch_to": "adam"}),
+    # a frozen second layer separates only from a larger init (step 1,640)
+    "frozen_sd": ("desk_sd", {"freeze_second_layer": True, "init_scale": 1.0}),
+    # per-block spectral/l2 steps and diagnostics (separates at step 260)
+    "modular_gd": ("desk_gd", {"norm": "modular:spectral,l2",
+                               "diagnostics_norms": "modular:spectral,l2",
+                               "normalized": True}),
 }
 
 GOLDEN = {
@@ -61,6 +68,12 @@ GOLDEN = {
     "switch_adam": {
         "run.csv": "8bf3748271292075d0a75d802ce96ee1d17d03f90f56659b6c4de21042abf22d",
         "final.ckpt": "19fdd4579d8a827d43ceb366d93bacf93a9fa604cdf6f9a603caafc379fce4c4"},
+    "frozen_sd": {
+        "run.csv": "eba2b0d14216d2a346ebb52eb671914e9f5316e82de1bcee969af70fdcc9260a",
+        "final.ckpt": "299b32b86e58e728c56b9968b35370656b8dcd8db5addc0745500f612408a0c8"},
+    "modular_gd": {
+        "run.csv": "f74b4cf62ef22ea2f09fa46f76465e7fe5b756c1cc5ac2cf1fc7c88e9b3031c8",
+        "final.ckpt": "e48b7696150b9e0595fe1857228f3816e1cd7d14aabf6b27dadfc67b24dc95ee"},
 }
 
 

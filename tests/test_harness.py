@@ -1,19 +1,24 @@
+import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from steepdesc.data import Dataset, save_dataset
 from steepdesc.errors import ConfigError, DivergenceError
-from steepdesc.harness import (ACCURACY_CHUNK, CSV_COLUMNS, DataSource,
-                               RunConfig, config_from_values, emit_csv,
-                               emit_svg, evaluate_accuracy, parse_norm,
-                               read_flat_config, run_training)
+from steepdesc.harness import (ACCURACY_CHUNK, CONFIG_KEYS, CSV_COLUMNS,
+                               DataSource, RunConfig, config_from_values,
+                               emit_csv, emit_svg, evaluate_accuracy,
+                               parse_norm, read_flat_config, run_training)
 from steepdesc.losses import LossSpec, output_margins
 from steepdesc.models import InitSpec, ModelSpec
 from steepdesc.norms import NormSpec
 from steepdesc.optimizers import OptimizerSpec, SteepestMethod
 from steepdesc.params import ParamVector
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def four_point_set():
@@ -36,6 +41,23 @@ def toy_config(eta=0.05, epochs=5000, log_every=250, **overrides):
 
 
 class TestRunTraining:
+    def test_frozen_run_evaluates_only_logged_steps(self, monkeypatch):
+        import steepdesc.harness as harness
+        calls = []
+        evaluate = harness.evaluate
+        monkeypatch.setattr(harness, "evaluate",
+                            lambda *a: calls.append(1) or evaluate(*a))
+        values = read_flat_config(CONFIGS / "desk_sd.cfg")
+        values.update(epochs=1000, log_every=50, test_m=0, output_dir="")
+        monkeypatch.delenv("STEEPDESC_OUTPUT_DIR", raising=False)
+        log = run_training(config_from_values(values))
+        assert log.freeze_step is not None and log.freeze_step < 1000
+        logged_after = sum(r.step > log.freeze_step for r in log.rows)
+        assert logged_after > 0
+        assert len(calls) == log.freeze_step + 1 + logged_after
+        assert [r.frozen for r in log.rows] == [r.step > log.freeze_step
+                                                for r in log.rows]
+
     def test_separates_four_point_set(self):
         log = run_training(toy_config(), train=four_point_set())
         assert log.t0_step is not None
@@ -240,6 +262,32 @@ switch_norm = l1
         config = config_from_values(read_flat_config(path))
         assert config.optimizer.switch_to is not None
         assert config.optimizer.switch_to.method.norm.kind == "l1"
+
+    def test_unknown_keys_rejected(self):
+        values = {"input_dim": 2, "width": 4, "teacher_active": 2,
+                  "train_m": 8, "epochs": 100}
+        config_from_values(values)
+        with pytest.raises(ConfigError, match="normalised, step_sise"):
+            config_from_values({**values, "normalised": True, "step_sise": 5.0})
+
+    def test_config_keys_are_the_readme_keys(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        section = next(part for part in readme.split("\n\n")
+                       if part.startswith("- model:"))
+        # drop the value lists and notes in parentheses, keep the key names
+        listed = set(re.findall(r"`([a-z_0-9]+)`",
+                                re.sub(r"\([^)]*\)", "", section)))
+        assert listed == CONFIG_KEYS
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in
+                                            (ROOT / "configs").glob("*.cfg")))
+    def test_shipped_configs_load(self, name):
+        values = read_flat_config(CONFIGS / f"{name}.cfg")
+        config_from_values(values)
+        # the keys the benchmark appends to a shipped config
+        config_from_values({**values, "epochs": 500, "log_every": 1,
+                            "test_m": 0, "switch_to": "shampoo", "seed": 2,
+                            "output_dir": "out"})
 
     def test_missing_key_clear_error(self):
         with pytest.raises(ConfigError, match="input_dim"):

@@ -1,0 +1,136 @@
+"""ParamVector over one buffer: each operation gives the same bits as the
+block-by-block expression it replaces, and views share the buffer."""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from steepdesc.errors import DataFormatError, ShapeMismatchError
+from steepdesc.models import (InitSpec, ModelSpec, init_params,
+                              load_checkpoint, save_checkpoint)
+from steepdesc.params import ParamVector, from_flat
+
+DIMS = st.integers(1, 5)
+SHAPES = st.lists(st.one_of(st.tuples(DIMS), st.tuples(DIMS, DIMS)),
+                  min_size=1, max_size=4)
+VALUES = st.floats(-1e6, 1e6, width=64)
+SCALES = st.floats(-1e3, 1e3, width=64)
+
+
+@st.composite
+def vector_pairs(draw):
+    """Two vectors of one random layout whose trainable blocks lead."""
+    shapes = draw(SHAPES)
+    n = draw(st.integers(0, len(shapes)))
+    flags = (True,) * n + (False,) * (len(shapes) - n)
+    a, b = ([draw(arrays(np.float64, s, elements=VALUES)) for s in shapes]
+            for _ in range(2))
+    return ParamVector(tuple(a), flags), ParamVector(tuple(b), flags), a, b
+
+
+# the block-by-block expressions of a tuple-of-arrays container
+
+def ref_flat(blocks):
+    return np.concatenate([b.ravel() for b in blocks])
+
+
+def ref_scaled_trainable(blocks, flags, c):
+    return [c * b if t else b.copy() for b, t in zip(blocks, flags)]
+
+
+def ref_embed_trainable(blocks, flags, update):
+    it = iter(update)
+    return [next(it) if t else np.zeros_like(b) for b, t in zip(blocks, flags)]
+
+
+def ref_dot(a, b):
+    return float(sum(np.dot(x.ravel(), y.ravel()) for x, y in zip(a, b)))
+
+
+def same_bits(v: ParamVector, blocks) -> bool:
+    return (v.shapes() == tuple(b.shape for b in blocks)
+            and all(x.tobytes() == y.tobytes() for x, y in zip(v.blocks, blocks))
+            and v.flat().tobytes() == ref_flat(blocks).tobytes())
+
+
+@settings(max_examples=200, deadline=None)
+@given(vector_pairs(), SCALES)
+def test_operations_match_the_block_expressions(pair, c):
+    u, v, a, b = pair
+    flags = u.trainable
+    assert same_bits(u, a)
+    assert same_bits(u + v, [x + y for x, y in zip(a, b)])
+    assert same_bits(u - v, [x - y for x, y in zip(a, b)])
+    assert same_bits(u.scaled(c), [c * x for x in a])
+    assert same_bits(u.scaled_trainable(c), ref_scaled_trainable(a, flags, c))
+    assert u.dot(v) == ref_dot(a, b)
+    kept = [x for x, t in zip(a, flags) if t]
+    view = u.trainable_view()
+    assert all(view.trainable)
+    if kept:
+        assert same_bits(view, kept)
+        update = v.trainable_view()
+        assert same_bits(u.embed_trainable(update), ref_embed_trainable(
+            a, flags, [y for y, t in zip(b, flags) if t]))
+    else:
+        assert view.n_blocks == 0 and view.size == 0
+    assert (u + v).trainable == flags and u.scaled(c).trainable == flags
+
+
+@settings(max_examples=100, deadline=None)
+@given(vector_pairs())
+def test_views_share_the_buffer(pair):
+    u, _, _, _ = pair
+    assert u.flat() is u.buffer
+    assert all(np.shares_memory(b, u.buffer) for b in u.blocks)
+    view = u.trainable_view()
+    if view.size:
+        assert np.shares_memory(view.flat(), u.buffer)
+    x = u.flat().copy()
+    w = from_flat(x, u.shapes(), u.trainable)
+    assert np.shares_memory(w.flat(), x)
+    assert all(np.shares_memory(b, x) for b in w.blocks)
+
+
+def test_copy_and_zeros_like_own_new_buffers():
+    u = ParamVector.of(np.ones((2, 3)), np.ones(2), trainable=(True, False))
+    for w in (u.copy(), u.zeros_like()):
+        assert not np.shares_memory(w.flat(), u.flat())
+        assert w.trainable == u.trainable and w.shapes() == u.shapes()
+
+
+def test_frozen_tail_is_a_slice():
+    u = ParamVector.of(np.arange(6.0).reshape(2, 3), np.array([7.0, 8.0]),
+                       trainable=(True, False))
+    assert u.trainable_view().flat().tolist() == [0, 1, 2, 3, 4, 5]
+    assert u.embed_trainable(u.trainable_view()).flat().tolist() == [
+        0, 1, 2, 3, 4, 5, 0, 0]
+
+
+@pytest.mark.parametrize("flags", [(False, True), (True, False, True),
+                                   (False, False, True)])
+def test_trainable_flags_must_be_a_prefix(flags):
+    blocks = [np.zeros(2)] * len(flags)
+    with pytest.raises(ShapeMismatchError, match="come first"):
+        ParamVector(tuple(blocks), flags)
+    with pytest.raises(ShapeMismatchError, match="come first"):
+        from_flat(np.zeros(2 * len(flags)), [(2,)] * len(flags), flags)
+
+
+def test_from_flat_rejects_a_size_mismatch():
+    with pytest.raises(ShapeMismatchError, match="shapes need 6"):
+        from_flat(np.zeros(5), [(2, 3)])
+
+
+def test_checkpoint_with_a_leading_frozen_block_is_malformed(tmp_path):
+    model = ModelSpec.two_layer_relu(3, 4, freeze_second_layer=True)
+    path = tmp_path / "theta.ckpt"
+    save_checkpoint(path, model, init_params(model, InitSpec(0.1, seed=5)))
+    _, theta = load_checkpoint(path)
+    assert theta.trainable == (True, False)
+    blob = path.read_bytes()
+    path.write_bytes(blob.replace(b'"trainable": [true, false]',
+                                  b'"trainable": [false, true]'))
+    with pytest.raises(DataFormatError, match="come first"):
+        load_checkpoint(path)
