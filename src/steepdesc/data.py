@@ -19,6 +19,7 @@ to 0 for its sign to be certain is scored again on its own.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -53,8 +54,8 @@ class TeacherSpec:
             raise ConfigError("teacher dimensions must be positive")
         if not (1 <= self.active_per_neuron <= self.input_dim):
             raise ConfigError("active_per_neuron must be in [1, input_dim]")
-        if self.weight_scale <= 0:
-            raise ConfigError("weight_scale must be positive")
+        if not 0.0 < self.weight_scale < math.inf:
+            raise ConfigError("weight_scale must be finite and positive")
 
     def model(self) -> ModelSpec:
         return ModelSpec.two_layer_relu(self.input_dim, self.width)

@@ -73,42 +73,41 @@ class KKTReport:
         return np.exp(self.log_lambda)
 
 
+# the parameter norms every logged row reports, besides the algorithm's own
+_REPORTED_NORMS = (NormSpec.l1(), NormSpec.l2(), NormSpec.linf(),
+                   NormSpec.spectral())
+
+
 def detect_separation(log_loss_value: float, loss: LossSpec) -> bool:
     """True once the loss has dropped strictly below the zero-margin level."""
     return log_loss_value < separation_threshold(loss)
 
 
-def _alignment(ev: Evaluation, theta_tr: ParamVector, algo_norm: NormSpec,
-               theta_norm: float) -> float:
+def _alignment(ev: Evaluation, algo_norm: NormSpec) -> float:
+    theta_norm = ev.theta_norm(algo_norm)
     dual = ev.subgradient_dual(algo_norm)
     if dual == 0.0 or theta_norm == 0.0:
         return math.nan
-    return -theta_tr.dot(ev.g_hat_trainable) / (theta_norm * dual)
+    return -ev.theta_trainable.dot(ev.g_hat_trainable) / (theta_norm * dual)
 
 
 def margin_report(ev: Evaluation, algo_norm: NormSpec) -> MarginReport:
     """All margin diagnostics at the evaluated point; requires theta != 0."""
-    theta_tr = ev.theta.trainable_view()
-    algo_theta_norm = norm_value(algo_norm, theta_tr)
+    algo_theta_norm = ev.theta_norm(algo_norm)
     if algo_theta_norm == 0.0:
         raise ZeroVectorError("margin_report is undefined at theta = 0")
     degree = ev.model.homogeneity_degree
     q_min = float(ev.q.min())
 
-    norms = {
-        "l1": norm_value(NormSpec.l1(), theta_tr),
-        "l2": norm_value(NormSpec.l2(), theta_tr),
-        "linf": norm_value(NormSpec.linf(), theta_tr),
-        "spectral": norm_value(NormSpec.spectral(), theta_tr),
-        algo_norm.label(): algo_theta_norm,
-    }
+    norms = {spec.label(): ev.theta_norm(spec) for spec in _REPORTED_NORMS}
+    norms[algo_norm.label()] = algo_theta_norm
 
     try:
         soft = phi_inverse(ev.loss, -ev.log_loss) / algo_theta_norm**degree
     except ValueError:
         soft = math.nan
 
-    align = _alignment(ev, theta_tr, algo_norm, algo_theta_norm)
+    align = _alignment(ev, algo_norm)
 
     return MarginReport(
         q_min=q_min,
@@ -164,8 +163,7 @@ def kkt_residuals(ev: Evaluation, algo_norm: NormSpec,
     """
     model, theta, data, q = ev.model, ev.theta, ev.data, ev.q
     degree = model.homogeneity_degree
-    theta_tr = theta.trainable_view()
-    theta_norm = norm_value(algo_norm, theta_tr)
+    theta_norm = ev.theta_norm(algo_norm)
     if theta_norm == 0.0:
         raise ZeroVectorError("kkt_residuals is undefined at theta = 0")
 
@@ -192,7 +190,7 @@ def kkt_residuals(ev: Evaluation, algo_norm: NormSpec,
     s = weighted_subgradient_sum(model, theta_f, data.X, coeffs).scaled(math.exp(shift))
     s_tr = s.trainable_view()
 
-    k = norm_subgradient(algo_norm, theta_f_tr).scaled(theta_f_norm)
+    k = norm_subgradient(algo_norm, theta_f_tr, theta_f_norm).scaled(theta_f_norm)
     eps = float(np.linalg.norm((s_tr - k).flat()))
 
     slack = q / q_min - 1.0
@@ -202,7 +200,7 @@ def kkt_residuals(ev: Evaluation, algo_norm: NormSpec,
 
     bregman_bound = delta_bound = None
     if gamma_tilde_t0 is not None and gamma_tilde_t0 > 0.0:
-        align = _alignment(ev, theta_tr, algo_norm, theta_norm)
+        align = _alignment(ev, algo_norm)
         gt0 = gamma_tilde_t0 ** (2.0 / degree)
         bregman_bound = (1.0 - align) / gt0
         delta_bound = len(y) / (math.e * gt0 * degree * (-ev.log_loss))

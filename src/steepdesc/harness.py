@@ -63,6 +63,8 @@ class DataSource:
     def __post_init__(self):
         if self.kind not in ("teacher", "dataset", "idx"):
             raise ConfigError(f"unknown data kind {self.kind!r}")
+        if self.test_m < 0:
+            raise ConfigError("test_m must be >= 0")
         if self.kind == "teacher" and (self.teacher is None or self.train_m < 1):
             raise ConfigError("teacher data needs a TeacherSpec and train_m >= 1")
         if self.kind == "dataset" and not self.dataset_path:
@@ -232,7 +234,7 @@ def run_training(config: RunConfig, train: Optional[Dataset] = None,
         ev = evaluate(loss, model, theta, train, work)
         if not np.isfinite(ev.q).all():
             raise DivergenceError(step, "non-finite margins")
-        if not np.isfinite(ev.log_loss):
+        if not math.isfinite(ev.log_loss):
             raise DivergenceError(step, "non-finite loss")
 
         if logged:

@@ -18,6 +18,7 @@ evaluation whose subgradient was not yet read raises ``StaleEvaluationError``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -26,7 +27,7 @@ import numpy as np
 from .errors import ConfigError, StaleEvaluationError
 from .models import (ModelSpec, Workspace, forward_batch,
                      hidden_subgradient_sum)
-from .norms import NormSpec, dual_norm_value
+from .norms import NormSpec, dual_norm_value, norm_value
 from .params import ParamVector
 
 EXPONENTIAL = "exponential"
@@ -57,7 +58,7 @@ class LossSpec:
 def output_margins(model: ModelSpec, theta: ParamVector, data,
                    hidden: np.ndarray | None = None) -> np.ndarray:
     """q_i = y_i f(x_i; theta) over the dataset (its ``X`` and ``y``)."""
-    return np.asarray(data.y, dtype=np.float64) * forward_batch(model, theta, data.X, hidden)
+    return data.y * forward_batch(model, theta, data.X, hidden)
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -92,8 +93,8 @@ def log_terms(loss: LossSpec, q: np.ndarray) -> np.ndarray:
 def log_loss(loss: LossSpec, q: np.ndarray) -> float:
     """log of the total loss via log-sum-exp with max subtraction."""
     t = log_terms(loss, q)
-    m = float(np.max(t))
-    if not np.isfinite(m):
+    m = float(t.max())
+    if not math.isfinite(m):
         return m
     return m + float(np.log(np.exp(t - m).sum()))
 
@@ -143,6 +144,8 @@ class Evaluation:
     generation: int
     _duals: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
+    _norms: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @cached_property
     def subgradient(self) -> tuple[ParamVector, float]:
@@ -153,9 +156,8 @@ class Evaluation:
         if self.work.generation != self.generation:
             raise StaleEvaluationError(
                 "evaluation's workspace was reused by a later evaluate")
-        scale = float(np.max(self.logw))
-        y = np.asarray(self.data.y, dtype=np.float64)
-        coeffs = -y * np.exp(self.logw - scale)
+        scale = float(self.logw.max())
+        coeffs = -self.data.y * np.exp(self.logw - scale)
         return hidden_subgradient_sum(self.model, self.theta, self.data.X,
                                       coeffs, self.work), scale
 
@@ -169,6 +171,17 @@ class Evaluation:
         if norm not in self._duals:
             self._duals[norm] = dual_norm_value(norm, self.g_hat_trainable)
         return self._duals[norm]
+
+    @cached_property
+    def theta_trainable(self) -> ParamVector:
+        """The trainable blocks of theta."""
+        return self.theta.trainable_view()
+
+    def theta_norm(self, norm: NormSpec) -> float:
+        """||theta|| of the trainable blocks under ``norm``, once per norm."""
+        if norm not in self._norms:
+            self._norms[norm] = norm_value(norm, self.theta_trainable)
+        return self._norms[norm]
 
 
 def evaluate(loss: LossSpec, model: ModelSpec, theta: ParamVector, data,

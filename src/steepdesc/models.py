@@ -19,6 +19,7 @@ so a step makes no (m, width) temporaries.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -78,8 +79,8 @@ class InitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ConfigError("init scale must be positive")
+        if not 0.0 < self.scale < math.inf:
+            raise ConfigError("init scale must be finite and positive")
         if self.scheme not in (FAN_IN_UNIFORM, COORDINATE_UNIFORM):
             raise ConfigError(f"unknown init scheme {self.scheme!r}")
 
@@ -167,6 +168,7 @@ def weighted_subgradient_sum(model: ModelSpec, theta: ParamVector,
     """
     _check_params(model, theta)
     X = np.asarray(X, dtype=np.float64)
+    coeffs = np.asarray(coeffs, dtype=np.float64)
     work = Workspace(model, len(X))
     if model.kind == TWO_LAYER_RELU:
         np.maximum(X @ theta.blocks[0].T, 0.0, out=work.hidden)
@@ -179,20 +181,19 @@ def hidden_subgradient_sum(model: ModelSpec, theta: ParamVector, X: np.ndarray,
     ``forward_batch(model, theta, X, work.hidden)`` left in ``work``: the
     same numbers, without a second product of X with W."""
     _check_params(model, theta)
-    X = np.asarray(X, dtype=np.float64)
-    coeffs = np.asarray(coeffs, dtype=np.float64)
     if model.kind == LINEAR:
-        return ParamVector((coeffs @ X,), theta.trainable)
-    u = theta.blocks[1]
+        return theta.like(coeffs @ X)
+    w, u = theta.blocks
     # relu(z) > 0 exactly where z > 0, so the mask comes from the hidden layer
     weighted = np.greater(work.hidden, 0.0, out=work.weighted)
     np.multiply(coeffs[:, None], weighted, out=weighted)
-    grad = theta.zeros_like()     # a frozen second layer keeps a zero tail
-    dw, du = grad.blocks
-    np.multiply(weighted.T @ X, u[:, None], out=dw)
+    grad = np.empty(theta.size)
+    np.multiply(weighted.T @ X, u[:, None], out=grad[:w.size].reshape(w.shape))
     if theta.trainable[1]:
-        du[...] = work.hidden.T @ coeffs
-    return grad
+        grad[w.size:] = work.hidden.T @ coeffs
+    else:
+        grad[w.size:] = 0.0       # a frozen second layer has a zero block
+    return theta.like(grad)
 
 
 def euler_identity_check(model: ModelSpec, theta: ParamVector, x: np.ndarray) -> float:
@@ -267,7 +268,9 @@ def load_checkpoint(path) -> tuple[ModelSpec, ParamVector]:
         flat = np.frombuffer(data[12 + blob_len:], dtype="<f8").astype(np.float64)
         shapes = [tuple(s) for s in header["block_shapes"]]
         theta = from_flat(flat, shapes, header["trainable"])
+        _check_params(model, theta)
     except (ValueError, KeyError, TypeError) as exc:
         raise DataFormatError(f"{path}: malformed checkpoint: {exc}") from exc
-    _check_params(model, theta)
+    if not theta.allfinite():
+        raise DataFormatError(f"{path}: checkpoint has non-finite coordinates")
     return model, theta

@@ -12,18 +12,23 @@ flat l1 / l2 / l-infinity, per-block spectral, and the modular composite
   * ``norm_subgradient``  -- an element n of the subdifferential of ||.||,
                              i.e. <n, v> = ||v|| and ||n||* <= 1
 
+The gradient-side maps (the dual norm and the steepest directions) act on
+a vector's trainable blocks: frozen blocks are not optimization variables,
+and a direction has the trainable blocks' layout.
+
 Tie-breaking is deterministic everywhere: argmax ties resolve to the lowest
 index, sign(0) = 0.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (ConfigError, NonFiniteError, ShapeMismatchError,
                      ZeroVectorError)
-from .params import ParamVector
+from .params import ParamVector, from_flat
 
 L1 = "l1"
 L2 = "l2"
@@ -88,11 +93,11 @@ class NormSpec:
         return self.kind
 
 
-def _check_blocks(spec: NormSpec, v: ParamVector) -> None:
-    if spec.kind == MODULAR_MAX and len(spec.block_norms) != v.n_blocks:
+def _check_blocks(spec: NormSpec, blocks: tuple[np.ndarray, ...]) -> None:
+    if spec.kind == MODULAR_MAX and len(spec.block_norms) != len(blocks):
         raise ShapeMismatchError(
             f"modular_max has {len(spec.block_norms)} block norms but the "
-            f"vector has {v.n_blocks} blocks"
+            f"vector has {len(blocks)} blocks"
         )
 
 
@@ -123,6 +128,12 @@ def thin_svd(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u[:, keep], s[keep], vt[keep].T
 
 
+def _l2(x: np.ndarray) -> float:
+    """||x||_2 of a 1-D float64 array: sqrt(<x, x>), the operations
+    ``np.linalg.norm`` performs on it, without its dispatch."""
+    return math.sqrt(x.dot(x))
+
+
 _NUCLEAR = "nuclear"   # the dual of a spectral block; not a NormSpec kind
 _DUAL = {L1: LINF, L2: L2, LINF: L1, SPECTRAL: _NUCLEAR}
 
@@ -134,83 +145,92 @@ def _block_norm(kind: str, block: np.ndarray) -> float:
         if kind == L1:
             return float(np.abs(x).sum())
         if kind == L2:
-            return float(np.linalg.norm(x))
+            return _l2(x)
         return float(np.abs(x).max()) if x.size else 0.0
     m = _as_matrix(block)
     if m.size == 0 or not m.any():
         return 0.0
     if m.shape[1] == 1:
-        return float(np.linalg.norm(m))
+        return _l2(m.ravel())
     s = np.linalg.svd(m, compute_uv=False)
     return float(s[0] if kind == SPECTRAL else s.sum())
 
 
-def _block_kinds(spec: NormSpec, v: ParamVector) -> list[str]:
-    """The norm kind of each block of ``v`` under a per-block ``spec``."""
+def _block_kinds(spec: NormSpec, blocks: tuple[np.ndarray, ...]) -> list[str]:
+    """The norm kind of each of ``blocks`` under a per-block ``spec``."""
     if spec.kind == SPECTRAL:
-        return [SPECTRAL] * v.n_blocks
+        return [SPECTRAL] * len(blocks)
     return [b.kind for b in spec.block_norms]
 
 
 def norm_value(spec: NormSpec, v: ParamVector) -> float:
     """||v|| under ``spec``; always >= 0."""
-    _check_blocks(spec, v)
+    _check_blocks(spec, v.blocks)
     if spec.kind in _FLAT_KINDS:
         return _block_norm(spec.kind, v.flat())
-    return max(_block_norm(k, b) for k, b in zip(_block_kinds(spec, v), v.blocks))
+    return max(_block_norm(k, b)
+               for k, b in zip(_block_kinds(spec, v.blocks), v.blocks))
 
 
 def dual_norm_value(spec: NormSpec, g: ParamVector) -> float:
-    """||g||*: l1 and l-infinity are mutually dual, l2 is self-dual, the
-    dual of max-over-blocks is the sum of per-block duals, and the dual of
-    the spectral norm is the nuclear norm."""
-    _check_blocks(spec, g)
+    """||g||* of g's trainable blocks: l1 and l-infinity are mutually
+    dual, l2 is self-dual, the dual of max-over-blocks is the sum of
+    per-block duals, and the dual of the spectral norm is the nuclear norm."""
+    blocks = g.trainable_blocks()
+    _check_blocks(spec, blocks)
     if spec.kind in _FLAT_KINDS:
-        return _block_norm(_DUAL[spec.kind], g.flat())
+        return _block_norm(_DUAL[spec.kind], g.trainable_flat())
     return float(sum(_block_norm(_DUAL[k], b)
-                     for k, b in zip(_block_kinds(spec, g), g.blocks)))
+                     for k, b in zip(_block_kinds(spec, blocks), blocks)))
 
 
 def _unit_flat_direction(kind: str, flat: np.ndarray) -> np.ndarray:
-    """Unit-norm steepest direction for a flat norm; <d, g> = -||g||*."""
+    """Unit-norm steepest direction for a flat norm, <d, g> = -||g||*;
+    zero where the dual norm ||g||* is zero."""
     if kind == L2:
-        n = np.linalg.norm(flat)
-        return -flat / n
+        dual = _l2(flat)
+        return flat / -dual if dual else np.zeros_like(flat)
     if kind == L1:
-        j = int(np.argmax(np.abs(flat)))
         d = np.zeros_like(flat)
-        d[j] = -np.sign(flat[j])
+        if flat.size:
+            j = int(np.abs(flat).argmax())
+            if flat[j]:
+                d[j] = -np.sign(flat[j])
         return d
     # linf: full sign vector, sign(0) = 0
-    return -np.sign(flat)
+    return -np.sign(flat) if flat.any() else np.zeros_like(flat)
 
 
 def _unit_block_direction(kind: str, block: np.ndarray) -> np.ndarray:
     """Unit steepest direction of a single block; zero block maps to zero."""
-    if not block.any():
-        return np.zeros_like(block)
     if kind == SPECTRAL:
+        if not block.any():
+            return np.zeros_like(block)
         u, _, v = thin_svd(_as_matrix(block))
         return -(u @ v.T).reshape(block.shape)
     return _unit_flat_direction(kind, block.ravel()).reshape(block.shape)
 
 
 def unit_steepest_direction(spec: NormSpec, g: ParamVector) -> ParamVector:
-    """The steepest direction rescaled to unit norm (zero for g = 0).
+    """The steepest direction of g's trainable blocks rescaled to unit norm
+    (zero for g = 0), in their layout.
 
     This is the displacement of the normalized update rules; the raw
-    steepest direction is ``dual_norm_value(spec, g)`` times this.
+    steepest direction is ``dual_norm_value(spec, g)`` times this. Each
+    block's zero test is its own dual norm (or an exact zero check), so no
+    dual norm is taken twice.
     """
-    _check_blocks(spec, g)
-    if not g.allfinite():
+    blocks = g.trainable_blocks()
+    _check_blocks(spec, blocks)
+    flat = g.trainable_flat()
+    if not np.isfinite(flat).all():
         raise NonFiniteError("steepest direction: gradient has non-finite entries")
-    if dual_norm_value(spec, g) == 0.0:
-        return g.zeros_like()
     if spec.kind in _FLAT_KINDS:
-        return g.like(_unit_flat_direction(spec.kind, g.flat()))
+        d = _unit_flat_direction(spec.kind, flat)
+        return (g.like(d) if len(blocks) == g.n_blocks
+                else from_flat(d, [b.shape for b in blocks]))
     return ParamVector(tuple(_unit_block_direction(k, b)
-                             for k, b in zip(_block_kinds(spec, g), g.blocks)),
-                       g.trainable)
+                             for k, b in zip(_block_kinds(spec, blocks), blocks)))
 
 
 def steepest_direction(spec: NormSpec, g: ParamVector) -> ParamVector:
@@ -237,21 +257,24 @@ def _flat_subgradient(kind: str, x: np.ndarray, value: float) -> np.ndarray:
     return n
 
 
-def norm_subgradient(spec: NormSpec, theta: ParamVector) -> ParamVector:
+def norm_subgradient(spec: NormSpec, theta: ParamVector,
+                     value: float | None = None) -> ParamVector:
     """A fixed element of the subdifferential of ||.|| at ``theta`` != 0.
 
     The selection is deterministic: lowest index on argmax ties, sign(0)=0,
     leading singular pair for spectral blocks. Satisfies
-    <n, theta> = ||theta|| and ||n||* <= 1.
+    <n, theta> = ||theta|| and ||n||* <= 1. ``value`` is ||theta||, when
+    the caller has it.
     """
-    _check_blocks(spec, theta)
-    value = norm_value(spec, theta)
+    _check_blocks(spec, theta.blocks)
+    if value is None:
+        value = norm_value(spec, theta)
     if value == 0.0:
         raise ZeroVectorError("norm_subgradient is undefined at theta = 0")
     if spec.kind in _FLAT_KINDS:
         return theta.like(_flat_subgradient(spec.kind, theta.flat(), value))
 
-    kinds = _block_kinds(spec, theta)
+    kinds = _block_kinds(spec, theta.blocks)
     values = [_block_norm(k, b) for k, b in zip(kinds, theta.blocks)]
     j = int(np.argmax(values))  # lowest index on ties
     b = theta.blocks[j]

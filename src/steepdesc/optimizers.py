@@ -3,7 +3,16 @@
 The steepest-descent family (raw and normalized) under any supported norm,
 Adam, Shampoo, and an at-separation switching rule. All steps are pure:
 they return a new parameter vector (and, where stateful, a new state).
-Frozen blocks never move.
+Frozen blocks never move: each step forms the new point with one
+``ParamVector.add_trainable`` of a flat displacement.
+
+A steepest step builds two vectors, the unit direction and the new point,
+also with a frozen block: the direction and the dual norm read the
+gradient's trainable prefix in place. With the gradient
+``Evaluation.subgradient`` builds, a training step builds three. The
+gradient is checked for non-finite entries once, inside
+``unit_steepest_direction``, and the dual norm is taken only for the raw
+step's factor.
 
 Special cases worth knowing:
   * Adam with beta1 = beta2 = eps = 0 is exactly the normalized sign step
@@ -14,6 +23,7 @@ Special cases worth knowing:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -46,8 +56,8 @@ class AdamMethod:
     def __post_init__(self):
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ConfigError("Adam betas must lie in [0, 1)")
-        if self.eps < 0.0:
-            raise ConfigError("Adam eps must be >= 0")
+        if not 0.0 <= self.eps < math.inf:
+            raise ConfigError("Adam eps must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -55,8 +65,8 @@ class ShampooMethod:
     eps_reg: float = 0.0
 
     def __post_init__(self):
-        if self.eps_reg < 0.0:
-            raise ConfigError("Shampoo eps_reg must be >= 0")
+        if not 0.0 <= self.eps_reg < math.inf:
+            raise ConfigError("Shampoo eps_reg must be finite and >= 0")
 
 
 Method = Union[SteepestMethod, AdamMethod, ShampooMethod]
@@ -69,8 +79,8 @@ class OptimizerSpec:
     switch_to: Optional["OptimizerSpec"] = None  # applied at first separation
 
     def __post_init__(self):
-        if self.step_size <= 0.0:
-            raise ConfigError("step_size must be positive")
+        if not 0.0 < self.step_size < math.inf:
+            raise ConfigError("step_size must be finite and positive")
 
 
 @dataclass
@@ -100,18 +110,17 @@ def step_steepest(theta: ParamVector, g: ParamVector, spec: OptimizerSpec,
     method = spec.method
     if not isinstance(method, SteepestMethod):
         raise TypeError("step_steepest requires a steepest-descent method")
-    g_tr = g.trainable_view()
-    if not g_tr.allfinite():
-        raise NonFiniteError("step_steepest: gradient has non-finite entries")
-    dual = dual_norm_value(method.norm, g_tr)
+    unit = unit_steepest_direction(method.norm, g)  # raises on non-finite g
+    if method.normalized:
+        return theta.add_trainable(eta * unit.flat())
+    dual = dual_norm_value(method.norm, g)
     if dual == 0.0:
         return theta
-    unit_tr = unit_steepest_direction(method.norm, g_tr)
-    factor = eta if method.normalized else eta * dual * _exp_saturating(log_scale)
+    factor = eta * dual * _exp_saturating(log_scale)
     # an overflowed factor deliberately propagates inf/nan so the caller's
     # divergence check fires
     with np.errstate(invalid="ignore", over="ignore"):
-        return theta + theta.embed_trainable(unit_tr.scaled(factor))
+        return theta.add_trainable(factor * unit.flat())
 
 
 def step_adam(theta: ParamVector, g: ParamVector, state: OptimizerState,
@@ -132,9 +141,8 @@ def step_adam(theta: ParamVector, g: ParamVector, state: OptimizerState,
     v_hat = v / (1.0 - b2**t)
     denom = np.sqrt(v_hat) + eps
     upd = np.divide(m_hat, denom, out=np.zeros_like(m_hat), where=denom > 0.0)
-    delta = theta.embed_trainable(g_tr.like(-eta * upd))
-    return theta + delta, OptimizerState(t=t, adam_m=g_tr.like(m),
-                                         adam_v=g_tr.like(v))
+    new_state = OptimizerState(t=t, adam_m=g_tr.like(m), adam_v=g_tr.like(v))
+    return theta.add_trainable(-eta * upd), new_state
 
 
 def _inverse_fourth_root(mat: np.ndarray) -> np.ndarray:
@@ -169,7 +177,7 @@ def step_shampoo(theta: ParamVector, g: ParamVector, state: OptimizerState,
     new_left = dict(state.shampoo_left)
     new_right = dict(state.shampoo_right)
     deltas = []
-    for i, gb in enumerate(g.trainable_view().blocks):
+    for i, gb in enumerate(g.trainable_blocks()):
         gm = gb.reshape(-1, 1) if gb.ndim == 1 else gb
         rows, cols = gm.shape
         left = new_left.get(i)
@@ -182,10 +190,10 @@ def step_shampoo(theta: ParamVector, g: ParamVector, state: OptimizerState,
         new_left[i] = left
         new_right[i] = right
         upd = _inverse_fourth_root(left) @ gm @ _inverse_fourth_root(right)
-        deltas.append(-eta * upd.reshape(gb.shape))
+        deltas.append(-eta * upd.ravel())
     new_state = OptimizerState(t=state.t + 1,
                                shampoo_left=new_left, shampoo_right=new_right)
-    return theta + theta.embed_trainable(ParamVector(tuple(deltas))), new_state
+    return theta.add_trainable(np.concatenate(deltas)), new_state
 
 
 def apply_switch(spec: OptimizerSpec, state: OptimizerState,

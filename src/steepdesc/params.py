@@ -4,11 +4,17 @@ A parameter vector keeps its coordinates in one contiguous float64 buffer,
 block after block (C order within a block); its blocks, matrices or vectors,
 are reshaped views of it. The trainable blocks come first, so the
 optimization variables are a leading slice, which ``trainable_view()``
-returns without a copy, and the frozen blocks are the tail. ``flat()`` is
-the buffer and ``from_flat`` wraps its input without a copy. Elementwise
-operations are one numpy call on the buffer and return a new vector; ``dot``
-and ``allclose`` reduce block by block. Only the function that builds a
-vector fills its buffer in; once returned, a vector is never written.
+returns without a copy (``trainable_blocks()`` and ``trainable_flat()`` give
+its blocks and coordinates without building a vector), and the frozen blocks
+are the tail. ``flat()`` is the buffer and ``from_flat`` wraps its input
+without a copy; ``like`` does the same in an existing vector's layout,
+slicing its block shapes instead of deriving the layout again. Elementwise
+operations are one numpy call on the buffer and return a new vector;
+``add_trainable`` adds a flat displacement to the trainable prefix and
+copies the frozen tail, which is how every optimizer step forms the new
+point. ``dot`` and ``allclose`` reduce block by block. Only the function
+that builds a vector fills its buffer in; once returned, a vector is never
+written.
 """
 from __future__ import annotations
 
@@ -81,8 +87,17 @@ class ParamVector:
         return tuple(b.shape for b in self.blocks)
 
     def like(self, flat: np.ndarray) -> "ParamVector":
-        """This vector's blocks and flags over the coordinates ``flat``."""
-        return from_flat(flat, self.shapes(), self.trainable)
+        """This vector's blocks and flags over ``flat``, a 1-D contiguous
+        float64 array of ``size`` coordinates that becomes the buffer."""
+        if flat.size != self.buffer.size:
+            raise ShapeMismatchError(
+                f"flat vector has {flat.size} coordinates, shapes need "
+                f"{self.buffer.size}")
+        views, offset = [], 0
+        for b in self.blocks:
+            views.append(flat[offset:offset + b.size].reshape(b.shape))
+            offset += b.size
+        return ParamVector(tuple(views), self.trainable, flat)
 
     def check_same_structure(self, other: "ParamVector", what: str = "operand") -> None:
         if self.shapes() != other.shapes():
@@ -93,26 +108,33 @@ class ParamVector:
         """All coordinates in block order (C order per block): the buffer."""
         return self.buffer
 
+    def trainable_blocks(self) -> tuple[np.ndarray, ...]:
+        """The trainable blocks, the leading ones."""
+        return self.blocks[:self.trainable.count(True)]
+
+    def trainable_flat(self) -> np.ndarray:
+        """The trainable blocks' coordinates: a prefix view of the buffer."""
+        kept = self.trainable_blocks()
+        if len(kept) == len(self.blocks):
+            return self.buffer
+        return self.buffer[:sum(b.size for b in kept)]
+
     def trainable_view(self) -> "ParamVector":
         """The optimization variables: the trainable blocks, a prefix view."""
         if all(self.trainable):
             return self
-        kept = self.blocks[:self.trainable.count(True)]
-        return ParamVector(kept, (), self.buffer[:sum(b.size for b in kept)])
+        return ParamVector(self.trainable_blocks(), (), self.trainable_flat())
 
-    def embed_trainable(self, update: "ParamVector") -> "ParamVector":
-        """Trainable-structured ``update`` in the full layout.
-
-        The frozen tail is zero: the result is a full-shape displacement
-        that never moves a frozen block.
-        """
-        expected = self.trainable_view().shapes()
-        if update.shapes() != expected:
+    def add_trainable(self, delta: np.ndarray) -> "ParamVector":
+        """This vector with the flat displacement ``delta`` added to its
+        trainable prefix; the frozen tail is copied, so it never moves."""
+        head = self.trainable_flat()
+        if delta.shape != head.shape:
             raise ShapeMismatchError(
-                f"embed_trainable: got shapes {update.shapes()}, expected {expected}")
-        tail = self.size - update.size
-        return self.like(np.concatenate((update.buffer, np.zeros(tail)))
-                         if tail else update.buffer)
+                f"add_trainable: got shape {delta.shape}, expected {head.shape}")
+        if head.size == self.buffer.size:
+            return self.like(self.buffer + delta)
+        return self.like(np.concatenate((head + delta, self.buffer[head.size:])))
 
     def copy(self) -> "ParamVector":
         return self.like(self.buffer.copy())
@@ -138,8 +160,8 @@ class ParamVector:
         This is the scaling under which the homogeneity identity
         f(x; c*theta) = c^L f(x; theta) is stated.
         """
-        n = self.trainable_view().size
-        return self.like(np.concatenate((c * self.buffer[:n], self.buffer[n:])))
+        head = self.trainable_flat()
+        return self.like(np.concatenate((c * head, self.buffer[head.size:])))
 
     def dot(self, other: "ParamVector") -> float:
         self.check_same_structure(other)

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +34,10 @@ diagnostics_norms = l2
 seed = 1
 output_dir = {out}
 """
+
+
+# switches TOY_CONFIG to a generated teacher dataset
+TEACHER = "data_kind = teacher\ntrain_m = 8\nteacher_active = 1\n"
 
 
 @pytest.fixture
@@ -84,6 +90,36 @@ class TestTrainCommand:
         assert cli_main(["train", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "true or false" in err
+        assert not (out / "run.csv").exists()
+
+    @pytest.mark.parametrize("lines, key", [
+        ("step_size = nan", "step_size"),
+        ("step_size = inf", "step_size"),
+        ("switch_to = steepest\nswitch_step_size = nan", "step_size"),
+        ("init_scale = nan", "init scale"),
+        ("init_scale = inf", "init scale"),
+        ("optimizer = adam\nadam_eps = nan", "eps"),
+        ("optimizer = adam\nadam_eps = inf", "eps"),
+        ("optimizer = shampoo\nshampoo_eps_reg = nan", "eps_reg"),
+        ("optimizer = shampoo\nshampoo_eps_reg = inf", "eps_reg"),
+        (TEACHER + "teacher_weight_scale = nan",
+         "weight_scale"),
+        (TEACHER + "teacher_weight_scale = inf",
+         "weight_scale"),
+        (TEACHER + "test_m = -5", "test_m"),
+    ], ids=["step_size nan", "step_size inf", "switch_step_size nan",
+            "init_scale nan", "init_scale inf", "adam_eps nan", "adam_eps inf",
+            "shampoo_eps_reg nan", "shampoo_eps_reg inf",
+            "teacher_weight_scale nan", "teacher_weight_scale inf",
+            "test_m negative"])
+    def test_non_finite_or_negative_value_exits_1(self, tmp_path, toy_dataset,
+                                                 capsys, lines, key):
+        cfg, out = write_config(tmp_path, toy_dataset)
+        cfg.write_text(cfg.read_text() + lines + "\n")
+        assert cli_main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err, err
+        assert "diverged" not in err
         assert not (out / "run.csv").exists()
 
     def test_second_diagnostics_norm_exits_1(self, tmp_path, toy_dataset, capsys):
@@ -194,9 +230,12 @@ class TestDiagnoseCommand:
         ("checkpoint", lambda b: b[:8]),
         ("checkpoint", lambda b: b[:12] + b"#" + b[13:]),
         ("checkpoint", lambda b: b[:-3]),
+        ("checkpoint", lambda b: b[:-8] + struct.pack("<d", math.nan)),
+        ("checkpoint", lambda b: b[:-16] + struct.pack("<d", -math.inf) + b[-8:]),
     ], ids=["dataset cut in its metadata", "dataset cut in its header",
             "checkpoint cut in its header", "checkpoint header not JSON",
-            "checkpoint body not whole float64s"])
+            "checkpoint body not whole float64s", "checkpoint with a NaN",
+            "checkpoint with an inf"])
     def test_malformed_input_exits_1(self, tmp_path, toy_dataset, capsys,
                                      target, corrupt):
         model = ModelSpec.two_layer_relu(2, 8)

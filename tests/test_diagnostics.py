@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from steepdesc import diagnostics, losses, norms
 from steepdesc.diagnostics import (bregman_divergence, detect_separation,
                                    kkt_residuals, margin_report,
                                    scale_to_feasible)
 from steepdesc.errors import NotSeparatedError, ZeroVectorError
 from steepdesc.losses import LossSpec, evaluate, output_margins
-from steepdesc.models import ModelSpec
-from steepdesc.norms import NormSpec, dual_norm_value
+from steepdesc.models import ModelSpec, forward_batch
+from steepdesc.norms import NormSpec, dual_norm_value, norm_value
 from steepdesc.params import ParamVector
 
 
@@ -210,3 +211,38 @@ class TestKKTResiduals:
         assert np.isfinite(rep.eps)
         assert np.isfinite(rep.log_lambda).all()
         assert rep.eps <= 0.2  # near the (1,1) direction
+
+
+class TestOneNormPerRow:
+    @pytest.mark.parametrize("algo, freeze", [
+        (NormSpec.l1(), False), (NormSpec.l2(), False), (NormSpec.linf(), False),
+        (NormSpec.spectral(), False), (NormSpec.spectral(), True),
+        (NormSpec.l2(), True),
+        (NormSpec.modular([NormSpec.spectral(), NormSpec.l2()]), False)])
+    def test_each_parameter_norm_is_computed_once(self, monkeypatch, algo,
+                                                  freeze):
+        """The margin and KKT reports of one logged row take each
+        (norm, vector) pair's norm_value once."""
+        rng = np.random.default_rng(4)
+        model = ModelSpec.two_layer_relu(3, 5, freeze_second_layer=freeze)
+        theta = ParamVector.of(rng.standard_normal((5, 3)),
+                               rng.standard_normal(5),
+                               trainable=(True, not freeze))
+        X = rng.standard_normal((12, 3))
+        data = Points(X, np.sign(forward_batch(model, theta, X)))
+        calls = []
+
+        def spy(spec, v):
+            calls.append((spec, v.shapes(), v.flat().tobytes()))
+            return norm_value(spec, v)
+
+        for module in (norms, losses, diagnostics):
+            if getattr(module, "norm_value", None) is norm_value:
+                monkeypatch.setattr(module, "norm_value", spy)
+        ev = evaluate(EXP, model, theta, data)
+        margin_report(ev, algo)
+        kkt_residuals(ev, algo, gamma_tilde_t0=1.0)
+        # l1, l2, linf, spectral and the algorithm norm of theta, and the
+        # algorithm norm of the rescaled theta
+        reported = 5 if algo.kind != "modular_max" else 6
+        assert len(calls) == len(set(calls)) == reported

@@ -239,8 +239,9 @@ def reference_sum(model, theta, X, coeffs):
     weighted = coeffs[:, None] * active
     dw = (weighted.T @ X) * u[:, None]
     du = np.maximum(z, 0.0).T @ coeffs
-    grad = ParamVector((dw, du), theta.trainable)
-    return grad.embed_trainable(grad.trainable_view())
+    if not theta.trainable[1]:
+        du = np.zeros_like(du)      # a frozen block comes back zero
+    return ParamVector((dw, du), theta.trainable)
 
 
 def fresh_subgradient(ev):

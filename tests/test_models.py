@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steepdesc.errors import DataFormatError, ShapeMismatchError
 from steepdesc.models import (COORDINATE_UNIFORM, InitSpec, ModelSpec,
@@ -176,6 +181,26 @@ class TestInit:
         assert model.homogeneity_degree == 1
 
 
+def _small_checkpoint(path) -> bytes:
+    """A saved 2x3 model; some coordinates lie in [1, 2), where one flipped
+    exponent bit makes an inf or a NaN."""
+    model = ModelSpec.two_layer_relu(2, 3)
+    save_checkpoint(path, model, init_params(model, InitSpec(3.0, seed=4)))
+    return path.read_bytes()
+
+
+def _check_corrupted_load(path, blob, pos, flip):
+    """``blob`` with byte ``pos`` XORed by ``flip`` either loads finite
+    coordinates in the saved shapes or is a ``DataFormatError``."""
+    path.write_bytes(blob[:pos] + bytes([blob[pos] ^ flip]) + blob[pos + 1:])
+    try:
+        _, theta = load_checkpoint(path)
+    except DataFormatError:
+        return
+    assert theta.shapes() == ((3, 2), (3,))
+    assert theta.allfinite()
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -187,6 +212,31 @@ class TestCheckpoint:
         assert theta2.trainable == theta.trainable
         assert all(np.array_equal(a, b)
                    for a, b in zip(theta.blocks, theta2.blocks))
+
+    def test_every_truncation_is_a_data_format_error(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        blob = _small_checkpoint(path)
+        for n in range(len(blob)):
+            path.write_bytes(blob[:n])
+            with pytest.raises(DataFormatError):
+                load_checkpoint(path)
+
+    def test_every_bit_flip_loads_finite_or_is_a_data_format_error(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        blob = _small_checkpoint(path)
+        for pos in range(len(blob)):
+            for bit in range(8):
+                _check_corrupted_load(path, blob, pos, 1 << bit)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_a_flipped_byte_loads_finite_or_is_a_data_format_error(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.ckpt"
+            blob = _small_checkpoint(path)
+            _check_corrupted_load(path, blob,
+                                  data.draw(st.integers(0, len(blob) - 1)),
+                                  data.draw(st.integers(1, 255)))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"

@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from steepdesc.losses import LossSpec, log_loss, loss_subgradient, output_margins
+from steepdesc.errors import NonFiniteError
+from steepdesc.losses import (LossSpec, evaluate, log_loss, loss_subgradient,
+                              output_margins)
 from steepdesc.models import ModelSpec
-from steepdesc.norms import NormSpec, dual_norm_value, steepest_direction, thin_svd
+from steepdesc.norms import (NormSpec, dual_norm_value, steepest_direction,
+                             thin_svd, unit_steepest_direction)
 from steepdesc.optimizers import (AdamMethod, OptimizerSpec, OptimizerState,
                                   ShampooMethod, SteepestMethod, apply_switch,
                                   step_adam, step_shampoo, step_steepest,
                                   take_step)
-from steepdesc.params import ParamVector
+from steepdesc.params import ParamVector, from_flat
 
 
 class Points:
@@ -86,6 +89,114 @@ class TestSteepestStep:
             for smaller in (eta / 2, eta / 8):
                 new = step_steepest(theta, g, steepest(norm, smaller), smaller)
                 assert log_loss(loss, output_margins(model, new, data)) < base
+
+
+NORMS = [NormSpec.l1(), NormSpec.l2(), NormSpec.linf(), NormSpec.spectral(),
+         NormSpec.modular([NormSpec.spectral(), NormSpec.l2()])]
+NORM_IDS = ["l1", "l2", "linf", "spectral", "modular"]
+LEAN_SPECS = [steepest(NormSpec.l2(), 0.1),
+              steepest(NormSpec.l1(), 0.1, normalized=True),
+              steepest(NormSpec.linf(), 0.1, normalized=True)]
+LEAN_IDS = ["l2 raw", "l1 normalized", "linf normalized"]
+
+
+def frozen_or_not(freeze, seed=11):
+    """A two-layer point, its data and its evaluation."""
+    rng = np.random.default_rng(seed)
+    model = ModelSpec.two_layer_relu(4, 6, freeze_second_layer=freeze)
+    theta = ParamVector.of(rng.standard_normal((6, 4)), rng.standard_normal(6),
+                           trainable=(True, not freeze))
+    data = Points(rng.standard_normal((10, 4)), np.sign(rng.standard_normal(10)))
+    return theta, evaluate(LossSpec.exponential(), model, theta, data)
+
+
+def counted_constructions(monkeypatch) -> list:
+    """Count ParamVector constructions, as bench/layer_trace.py does."""
+    count = [0]
+    post_init = ParamVector.__post_init__
+
+    def counted(self):
+        count[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(ParamVector, "__post_init__", counted)
+    return count
+
+
+class TestLeanSteepestStep:
+    @pytest.mark.parametrize("freeze", [False, True],
+                             ids=["all trainable", "frozen second layer"])
+    @pytest.mark.parametrize("spec", LEAN_SPECS, ids=LEAN_IDS)
+    def test_vectors_built_per_step(self, monkeypatch, spec, freeze):
+        theta, ev = frozen_or_not(freeze)
+        count = counted_constructions(monkeypatch)
+        g, log_scale = ev.subgradient
+        assert count[0] == 1
+        take_step(theta, g, OptimizerState.fresh(), spec, log_scale=log_scale)
+        # the unit direction and the new theta, with or without a frozen block
+        assert count[0] - 1 <= 2
+
+    @pytest.mark.parametrize("norm", NORMS, ids=NORM_IDS)
+    def test_gradient_maps_read_the_trainable_prefix(self, norm):
+        """The dual norm and the unit direction of a gradient with a frozen
+        block are those of its trainable view, bit for bit; the frozen
+        block, even when non-zero, is not read."""
+        if norm.kind == "modular_max":
+            norm = NormSpec.modular([NormSpec.spectral()])
+        theta, ev = frozen_or_not(True)
+        flat = ev.subgradient[0].flat().copy()
+        flat[-6:] = np.nan
+        g = theta.like(flat)
+        g_tr = g.trainable_view()
+        assert dual_norm_value(norm, g) == dual_norm_value(norm, g_tr)
+        unit, ref = unit_steepest_direction(norm, g), unit_steepest_direction(norm, g_tr)
+        assert unit.shapes() == ref.shapes() and all(unit.trainable)
+        assert unit.flat().tobytes() == ref.flat().tobytes()
+
+    @pytest.mark.parametrize("freeze", [False, True],
+                             ids=["all trainable", "frozen second layer"])
+    @pytest.mark.parametrize("normalized", [False, True],
+                             ids=["raw", "normalized"])
+    @pytest.mark.parametrize("norm", NORMS, ids=NORM_IDS)
+    def test_step_equals_the_embedded_sum(self, norm, normalized, freeze):
+        """theta + embed(factor * unit), the frozen tail zero-filled, is the
+        reference the single add_trainable replaces."""
+        if freeze and norm.kind == "modular_max":
+            norm = NormSpec.modular([NormSpec.spectral()])
+        theta, ev = frozen_or_not(freeze)
+        g, log_scale = ev.subgradient
+        spec = steepest(norm, 0.1, normalized=normalized)
+        g_tr = g.trainable_view()
+        unit = unit_steepest_direction(norm, g_tr)
+        factor = 0.1 if normalized else (
+            0.1 * dual_norm_value(norm, g_tr) * float(np.exp(log_scale)))
+        embedded = np.concatenate((unit.scaled(factor).flat(),
+                                   np.zeros(theta.size - g_tr.size)))
+        ref = theta + from_flat(embedded, theta.shapes(), theta.trainable)
+        new = step_steepest(theta, g, spec, 0.1, log_scale=log_scale)
+        assert new.flat().tobytes() == ref.flat().tobytes()
+        assert new.trainable == theta.trainable
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("normalized", [False, True],
+                             ids=["raw", "normalized"])
+    @pytest.mark.parametrize("norm", NORMS, ids=NORM_IDS)
+    def test_non_finite_gradient_raises(self, norm, normalized, bad):
+        theta, ev = frozen_or_not(False)
+        flat = ev.subgradient[0].flat().copy()
+        flat[7] = bad
+        g = theta.like(flat)
+        with pytest.raises(NonFiniteError):
+            step_steepest(theta, g, steepest(norm, 0.1, normalized), 0.1)
+
+    @pytest.mark.parametrize("normalized", [False, True],
+                             ids=["raw", "normalized"])
+    @pytest.mark.parametrize("norm", NORMS, ids=NORM_IDS)
+    def test_zero_gradient_keeps_theta_bytes(self, norm, normalized):
+        theta, _ = frozen_or_not(False)
+        new = step_steepest(theta, theta.zeros_like(),
+                            steepest(norm, 0.1, normalized), 0.1, log_scale=3.0)
+        assert new.flat().tobytes() == theta.flat().tobytes()
 
 
 class TestAdam:

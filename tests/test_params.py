@@ -39,9 +39,10 @@ def ref_scaled_trainable(blocks, flags, c):
     return [c * b if t else b.copy() for b, t in zip(blocks, flags)]
 
 
-def ref_embed_trainable(blocks, flags, update):
+def ref_add_trainable(blocks, flags, update):
+    """Each trainable block plus its update, each frozen block copied."""
     it = iter(update)
-    return [next(it) if t else np.zeros_like(b) for b, t in zip(blocks, flags)]
+    return [b + next(it) if t else b.copy() for b, t in zip(blocks, flags)]
 
 
 def ref_dot(a, b):
@@ -70,8 +71,8 @@ def test_operations_match_the_block_expressions(pair, c):
     assert all(view.trainable)
     if kept:
         assert same_bits(view, kept)
-        update = v.trainable_view()
-        assert same_bits(u.embed_trainable(update), ref_embed_trainable(
+        update = v.trainable_view().flat()
+        assert same_bits(u.add_trainable(update), ref_add_trainable(
             a, flags, [y for y, t in zip(b, flags) if t]))
     else:
         assert view.n_blocks == 0 and view.size == 0
@@ -87,10 +88,16 @@ def test_views_share_the_buffer(pair):
     view = u.trainable_view()
     if view.size:
         assert np.shares_memory(view.flat(), u.buffer)
+        assert np.shares_memory(u.trainable_flat(), u.buffer)
+    assert u.trainable_flat().tobytes() == view.flat().tobytes()
+    assert len(u.trainable_blocks()) == view.n_blocks
+    assert all(a is b or np.shares_memory(a, b)
+               for a, b in zip(u.trainable_blocks(), view.blocks))
     x = u.flat().copy()
-    w = from_flat(x, u.shapes(), u.trainable)
-    assert np.shares_memory(w.flat(), x)
-    assert all(np.shares_memory(b, x) for b in w.blocks)
+    for w in (from_flat(x, u.shapes(), u.trainable), u.like(x)):
+        assert w.shapes() == u.shapes() and w.trainable == u.trainable
+        assert np.shares_memory(w.flat(), x)
+        assert all(np.shares_memory(b, x) for b in w.blocks)
 
 
 def test_copy_and_zeros_like_own_new_buffers():
@@ -104,8 +111,10 @@ def test_frozen_tail_is_a_slice():
     u = ParamVector.of(np.arange(6.0).reshape(2, 3), np.array([7.0, 8.0]),
                        trainable=(True, False))
     assert u.trainable_view().flat().tolist() == [0, 1, 2, 3, 4, 5]
-    assert u.embed_trainable(u.trainable_view()).flat().tolist() == [
-        0, 1, 2, 3, 4, 5, 0, 0]
+    assert u.add_trainable(np.ones(6)).flat().tolist() == [
+        1, 2, 3, 4, 5, 6, 7, 8]
+    with pytest.raises(ShapeMismatchError, match="expected"):
+        u.add_trainable(np.ones(8))
 
 
 @pytest.mark.parametrize("flags", [(False, True), (True, False, True),
@@ -121,6 +130,8 @@ def test_trainable_flags_must_be_a_prefix(flags):
 def test_from_flat_rejects_a_size_mismatch():
     with pytest.raises(ShapeMismatchError, match="shapes need 6"):
         from_flat(np.zeros(5), [(2, 3)])
+    with pytest.raises(ShapeMismatchError, match="shapes need 6"):
+        ParamVector.of(np.zeros((2, 3))).like(np.zeros(5))
 
 
 def test_checkpoint_with_a_leading_frozen_block_is_malformed(tmp_path):
