@@ -23,7 +23,8 @@ from .errors import NotSeparatedError, ZeroVectorError
 from .losses import (Evaluation, LossSpec, output_margins, phi_inverse,
                      separation_threshold)
 from .models import ModelSpec, weighted_subgradient_sum
-from .norms import NormSpec, dual_norm_value, norm_subgradient, norm_value
+from .norms import (NormSpec, _dual, _l2, _subgradient, dual_norm_value,
+                    norm_value)
 from .params import ParamVector
 
 
@@ -74,8 +75,8 @@ class KKTReport:
 
 
 # the parameter norms every logged row reports, besides the algorithm's own
-_REPORTED_NORMS = (NormSpec.l1(), NormSpec.l2(), NormSpec.linf(),
-                   NormSpec.spectral())
+_REPORTED_NORMS = {spec.label(): spec for spec in (
+    NormSpec.l1(), NormSpec.l2(), NormSpec.linf(), NormSpec.spectral())}
 
 
 def detect_separation(log_loss_value: float, loss: LossSpec) -> bool:
@@ -88,7 +89,7 @@ def _alignment(ev: Evaluation, algo_norm: NormSpec) -> float:
     dual = ev.subgradient_dual(algo_norm)
     if dual == 0.0 or theta_norm == 0.0:
         return math.nan
-    return -ev.theta_trainable.dot(ev.g_hat_trainable) / (theta_norm * dual)
+    return -ev.theta_dot_g_hat / (theta_norm * dual)
 
 
 def margin_report(ev: Evaluation, algo_norm: NormSpec) -> MarginReport:
@@ -97,9 +98,9 @@ def margin_report(ev: Evaluation, algo_norm: NormSpec) -> MarginReport:
     if algo_theta_norm == 0.0:
         raise ZeroVectorError("margin_report is undefined at theta = 0")
     degree = ev.model.homogeneity_degree
-    q_min = float(ev.q.min())
+    q_min = ev.q_min
 
-    norms = {spec.label(): ev.theta_norm(spec) for spec in _REPORTED_NORMS}
+    norms = {label: ev.theta_norm(spec) for label, spec in _REPORTED_NORMS.items()}
     norms[algo_norm.label()] = algo_theta_norm
 
     try:
@@ -145,9 +146,13 @@ def bregman_divergence(algo_norm: NormSpec, y: ParamVector, z: ParamVector,
     """
     y.check_same_structure(z, "bregman_divergence")
     y.check_same_structure(m_vec, "bregman_divergence")
-    dy = dual_norm_value(algo_norm, y)
-    dz = dual_norm_value(algo_norm, z)
-    return 0.5 * dy * dy - 0.5 * dz * dz - m_vec.dot(y - z)
+    return _bregman(dual_norm_value(algo_norm, y), dual_norm_value(algo_norm, z),
+                    m_vec.dot(y - z))
+
+
+def _bregman(dual_y: float, dual_z: float, inner: float) -> float:
+    """``bregman_divergence`` from ||y||*, ||z||* and <m, y - z>."""
+    return 0.5 * dual_y * dual_y - 0.5 * dual_z * dual_z - inner
 
 
 def kkt_residuals(ev: Evaluation, algo_norm: NormSpec,
@@ -159,15 +164,15 @@ def kkt_residuals(ev: Evaluation, algo_norm: NormSpec,
     The stationarity vector is compared against ||theta~|| times the fixed
     norm subgradient at theta~, in l2 for ``eps`` and in the algorithm's
     geometry for the Bregman gap. Bounds require the separation-time soft
-    margin.
+    margin. The vectors compared are flat arrays over theta~'s trainable
+    prefix.
     """
-    model, theta, data, q = ev.model, ev.theta, ev.data, ev.q
-    degree = model.homogeneity_degree
+    degree = ev.model.homogeneity_degree
     theta_norm = ev.theta_norm(algo_norm)
     if theta_norm == 0.0:
         raise ZeroVectorError("kkt_residuals is undefined at theta = 0")
 
-    q_min = float(q.min())
+    q_min = ev.q_min
     if q_min <= 0.0:
         raise NotSeparatedError(f"q_min = {q_min} <= 0: not separated")
 
@@ -180,30 +185,30 @@ def kkt_residuals(ev: Evaluation, algo_norm: NormSpec,
     log_lambda = (math.log(theta_norm) - log_g_dual
                   + (1.0 - 2.0 / degree) * math.log(q_min) + ev.logw)
 
-    theta_f = theta.scaled_trainable(q_min ** (-1.0 / degree))
+    theta_f = ev.theta.scaled_trainable(q_min ** (-1.0 / degree))
     theta_f_tr = theta_f.trainable_view()
     theta_f_norm = norm_value(algo_norm, theta_f_tr)
+    k = theta_f_norm * _subgradient(algo_norm, theta_f_tr.blocks,
+                                    theta_f_tr.flat(), theta_f_norm)
 
-    shift = float(np.max(log_lambda))
-    y = np.asarray(data.y, dtype=np.float64)
-    coeffs = y * np.exp(log_lambda - shift)
-    s = weighted_subgradient_sum(model, theta_f, data.X, coeffs).scaled(math.exp(shift))
-    s_tr = s.trainable_view()
-
-    k = norm_subgradient(algo_norm, theta_f_tr, theta_f_norm).scaled(theta_f_norm)
-    eps = float(np.linalg.norm((s_tr - k).flat()))
-
-    slack = q / q_min - 1.0
-    delta = float(math.exp(shift) * np.dot(np.exp(log_lambda - shift), slack))
-
-    gap = bregman_divergence(algo_norm, s_tr, k, theta_f_tr)
+    shift = float(log_lambda.max())
+    scale = math.exp(shift)
+    lambdas = np.exp(log_lambda - shift)      # the multipliers over exp(shift)
+    s = scale * weighted_subgradient_sum(ev.model, theta_f, ev.data.X,
+                                         ev.data.y * lambdas).trainable_flat()
+    diff = s - k
+    eps = _l2(diff)
+    delta = float(scale * lambdas.dot(ev.q / q_min - 1.0))
+    gap = _bregman(_dual(algo_norm, theta_f_tr.views(s), s),
+                   _dual(algo_norm, theta_f_tr.views(k), k),
+                   theta_f_tr.dot_flat(diff))
 
     bregman_bound = delta_bound = None
     if gamma_tilde_t0 is not None and gamma_tilde_t0 > 0.0:
         align = _alignment(ev, algo_norm)
         gt0 = gamma_tilde_t0 ** (2.0 / degree)
         bregman_bound = (1.0 - align) / gt0
-        delta_bound = len(y) / (math.e * gt0 * degree * (-ev.log_loss))
+        delta_bound = len(ev.q) / (math.e * gt0 * degree * (-ev.log_loss))
 
     return KKTReport(log_lambda=log_lambda, eps=eps, delta=delta,
                      bregman_gap=gap, bregman_bound=bregman_bound,

@@ -177,6 +177,16 @@ class Evaluation:
         """The trainable blocks of theta."""
         return self.theta.trainable_view()
 
+    @cached_property
+    def q_min(self) -> float:
+        """The worst output margin."""
+        return float(self.q.min())
+
+    @cached_property
+    def theta_dot_g_hat(self) -> float:
+        """<theta, g_hat> over the trainable blocks."""
+        return self.theta_trainable.dot_flat(self.g_hat_trainable.flat())
+
     def theta_norm(self, norm: NormSpec) -> float:
         """||theta|| of the trainable blocks under ``norm``, once per norm."""
         if norm not in self._norms:

@@ -148,7 +148,7 @@ def _block_norm(kind: str, block: np.ndarray) -> float:
             return _l2(x)
         return float(np.abs(x).max()) if x.size else 0.0
     m = _as_matrix(block)
-    if m.size == 0 or not m.any():
+    if m.size == 0:
         return 0.0
     if m.shape[1] == 1:
         return _l2(m.ravel())
@@ -176,10 +176,15 @@ def dual_norm_value(spec: NormSpec, g: ParamVector) -> float:
     """||g||* of g's trainable blocks: l1 and l-infinity are mutually
     dual, l2 is self-dual, the dual of max-over-blocks is the sum of
     per-block duals, and the dual of the spectral norm is the nuclear norm."""
-    blocks = g.trainable_blocks()
+    return _dual(spec, g.trainable_blocks(), g.trainable_flat())
+
+
+def _dual(spec: NormSpec, blocks: tuple[np.ndarray, ...],
+          flat: np.ndarray) -> float:
+    """||.||* of the coordinates ``flat``, whose blocks are ``blocks``."""
     _check_blocks(spec, blocks)
     if spec.kind in _FLAT_KINDS:
-        return _block_norm(_DUAL[spec.kind], g.trainable_flat())
+        return _block_norm(_DUAL[spec.kind], flat)
     return float(sum(_block_norm(_DUAL[k], b)
                      for k, b in zip(_block_kinds(spec, blocks), blocks)))
 
@@ -266,23 +271,31 @@ def norm_subgradient(spec: NormSpec, theta: ParamVector,
     <n, theta> = ||theta|| and ||n||* <= 1. ``value`` is ||theta||, when
     the caller has it.
     """
-    _check_blocks(spec, theta.blocks)
     if value is None:
         value = norm_value(spec, theta)
+    return theta.like(_subgradient(spec, theta.blocks, theta.flat(), value))
+
+
+def _subgradient(spec: NormSpec, blocks: tuple[np.ndarray, ...],
+                 flat: np.ndarray, value: float) -> np.ndarray:
+    """``norm_subgradient`` at the coordinates ``flat``, whose blocks are
+    ``blocks`` and whose norm is ``value``, as a new flat array."""
+    _check_blocks(spec, blocks)
     if value == 0.0:
         raise ZeroVectorError("norm_subgradient is undefined at theta = 0")
     if spec.kind in _FLAT_KINDS:
-        return theta.like(_flat_subgradient(spec.kind, theta.flat(), value))
+        return _flat_subgradient(spec.kind, flat, value)
 
-    kinds = _block_kinds(spec, theta.blocks)
-    values = [_block_norm(k, b) for k, b in zip(kinds, theta.blocks)]
+    kinds = _block_kinds(spec, blocks)
+    values = [_block_norm(k, b) for k, b in zip(kinds, blocks)]
     j = int(np.argmax(values))  # lowest index on ties
-    b = theta.blocks[j]
+    b = blocks[j]
     if kinds[j] == SPECTRAL:
         u, _, v = thin_svd(_as_matrix(b))
-        sub = np.outer(u[:, 0], v[:, 0]).reshape(b.shape)
+        sub = np.outer(u[:, 0], v[:, 0])
     else:
-        sub = _flat_subgradient(kinds[j], b.ravel(), values[j]).reshape(b.shape)
-    blocks = [np.zeros_like(other) for other in theta.blocks]
-    blocks[j] = sub
-    return ParamVector(tuple(blocks), theta.trainable)
+        sub = _flat_subgradient(kinds[j], b.ravel(), values[j])
+    n = np.zeros_like(flat)
+    start = sum(other.size for other in blocks[:j])
+    n[start:start + b.size] = sub.ravel()
+    return n

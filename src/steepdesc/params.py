@@ -86,9 +86,9 @@ class ParamVector:
     def shapes(self) -> tuple[tuple[int, ...], ...]:
         return tuple(b.shape for b in self.blocks)
 
-    def like(self, flat: np.ndarray) -> "ParamVector":
-        """This vector's blocks and flags over ``flat``, a 1-D contiguous
-        float64 array of ``size`` coordinates that becomes the buffer."""
+    def views(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The blocks of ``flat``, a 1-D array of ``size`` coordinates, in
+        this vector's layout, as views."""
         if flat.size != self.buffer.size:
             raise ShapeMismatchError(
                 f"flat vector has {flat.size} coordinates, shapes need "
@@ -97,7 +97,12 @@ class ParamVector:
         for b in self.blocks:
             views.append(flat[offset:offset + b.size].reshape(b.shape))
             offset += b.size
-        return ParamVector(tuple(views), self.trainable, flat)
+        return tuple(views)
+
+    def like(self, flat: np.ndarray) -> "ParamVector":
+        """This vector's blocks and flags over ``flat``, a 1-D contiguous
+        float64 array of ``size`` coordinates that becomes the buffer."""
+        return ParamVector(self.views(flat), self.trainable, flat)
 
     def check_same_structure(self, other: "ParamVector", what: str = "operand") -> None:
         if self.shapes() != other.shapes():
@@ -161,12 +166,18 @@ class ParamVector:
         f(x; c*theta) = c^L f(x; theta) is stated.
         """
         head = self.trainable_flat()
+        if head.size == self.buffer.size:
+            return self.like(c * head)
         return self.like(np.concatenate((c * head, self.buffer[head.size:])))
 
     def dot(self, other: "ParamVector") -> float:
         self.check_same_structure(other)
-        return float(sum(np.dot(a.ravel(), b.ravel())
-                         for a, b in zip(self.blocks, other.blocks)))
+        return self.dot_flat(other.buffer)
+
+    def dot_flat(self, flat: np.ndarray) -> float:
+        """<self, v> for v's coordinates ``flat``, reduced block by block."""
+        return float(sum(a.ravel().dot(b.ravel())
+                         for a, b in zip(self.blocks, self.views(flat))))
 
     def allfinite(self) -> bool:
         return bool(np.isfinite(self.buffer).all())

@@ -9,7 +9,8 @@ case starts from a larger init for the same reason, so every case has rows
 past separation and runs the KKT diagnostics. The SHA-256 of
 ``run.csv`` and ``final.ckpt`` is pinned: a refactor that keeps the numbers
 keeps the bytes. The digests are the same under one and two BLAS threads at
-these shapes. Re-pinning a digest changes a check and is written up in
+these shapes; ``test_digests_do_not_depend_on_blas_threads`` reruns one case
+in a subprocess under each. Re-pinning a digest changes a check and is written up in
 CHANGES.md.
 
 The data digests cover ``sample_dataset`` on the full-scale teacher over
@@ -19,11 +20,16 @@ boundaries, and odd d discards a Gaussian per row), and ``init_params`` of
 the full-scale model.
 """
 import hashlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import steepdesc
 from steepdesc.data import TeacherSpec, gen_teacher, sample_dataset
 from steepdesc.harness import config_from_values, read_flat_config, run_training
 from steepdesc.models import InitSpec, ModelSpec, init_params
@@ -47,6 +53,12 @@ CASES = {
     "modular_gd": ("desk_gd", {"norm": "modular:spectral,l2",
                                "diagnostics_norms": "modular:spectral,l2",
                                "normalized": True}),
+    # per-block SVD subgradient and nuclear dual (separates at step 260)
+    "spectral_gd": ("desk_gd", {"norm": "spectral",
+                                "diagnostics_norms": "spectral",
+                                "normalized": True}),
+    # the logistic phi_inverse and log-weight branches (separates at step 160)
+    "logistic_gd": ("desk_gd", {"loss": "logistic"}),
 }
 
 GOLDEN = {
@@ -74,6 +86,12 @@ GOLDEN = {
     "modular_gd": {
         "run.csv": "f74b4cf62ef22ea2f09fa46f76465e7fe5b756c1cc5ac2cf1fc7c88e9b3031c8",
         "final.ckpt": "e48b7696150b9e0595fe1857228f3816e1cd7d14aabf6b27dadfc67b24dc95ee"},
+    "spectral_gd": {
+        "run.csv": "7195cb322bae8637f9a749e631588dd19ca2577ab854d557be868323aa3dcff7",
+        "final.ckpt": "16da11ba8e3863fc00d09779cb254be17aeac98f6d1fdab64160142466c64886"},
+    "logistic_gd": {
+        "run.csv": "c9dcf4ddec626d587c030667a037f4804e745bb6f4c29cc03d794c9da8d68974",
+        "final.ckpt": "b93ad5ab69698800368ff586f8f85660d7c541ff6a951c6e56ab132416388ce6"},
 }
 
 
@@ -90,6 +108,22 @@ def run_digests(case: str, out: Path) -> dict:
 def test_digests_match_the_pins(case, tmp_path, monkeypatch):
     monkeypatch.delenv("STEEPDESC_OUTPUT_DIR", raising=False)
     assert run_digests(case, tmp_path / case) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_digests_do_not_depend_on_blas_threads(threads, tmp_path):
+    """BLAS reads its thread count at start-up, so each count gets a fresh
+    interpreter that runs ``run_digests`` from this file."""
+    src = str(Path(steepdesc.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join([src, str(Path(__file__).parent)]))
+    env.pop("STEEPDESC_OUTPUT_DIR", None)
+    code = ("import json, sys; from pathlib import Path; "
+            "from test_golden import run_digests; "
+            "print(json.dumps(run_digests('desk_gd', Path(sys.argv[1]))))")
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "desk_gd")],
+                          env=env, capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == GOLDEN["desk_gd"]
 
 
 DATA_GOLDEN = {

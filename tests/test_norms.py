@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from steepdesc import norms
 from steepdesc.errors import ShapeMismatchError, ZeroVectorError
 from steepdesc.norms import (NormSpec, dual_norm_value, norm_subgradient,
                              norm_value, steepest_direction, thin_svd)
@@ -184,6 +188,57 @@ class TestNormSubgradient:
     def test_linf_tie_breaks_to_lowest_index(self):
         n = norm_subgradient(NormSpec.linf(), pv([-2.0, 2.0]))
         np.testing.assert_allclose(n.blocks[0], [-1.0, 0.0])
+
+
+SHAPES = st.one_of(st.tuples(st.integers(1, 5)),
+                   st.tuples(st.integers(1, 5), st.integers(1, 5)))
+ENTRIES = st.floats(-100.0, 100.0, allow_subnormal=False)
+BLOCK_NORMS = [NormSpec.l1(), NormSpec.l2(), NormSpec.linf(), NormSpec.spectral()]
+
+
+@st.composite
+def specs_and_vectors(draw):
+    """A norm of any kind and a vector of random block shapes whose
+    trainable blocks it measures, with or without a frozen tail block."""
+    shapes = draw(st.lists(SHAPES, min_size=1, max_size=3))
+    n_frozen = draw(st.integers(0, 1))
+    blocks = [draw(arrays(np.float64, shape, elements=ENTRIES))
+              for shape in shapes + draw(st.lists(SHAPES, min_size=n_frozen,
+                                                  max_size=n_frozen))]
+    kind = draw(st.sampled_from(["l1", "l2", "linf", "spectral", "modular"]))
+    spec = (NormSpec.modular([draw(st.sampled_from(BLOCK_NORMS)) for _ in shapes])
+            if kind == "modular" else NormSpec(kind))
+    return spec, ParamVector.of(*blocks,
+                                trainable=[True] * len(shapes) + [False] * n_frozen)
+
+
+class TestPairingProperties:
+    """The pairings the update rules and the KKT row rely on, for every norm
+    kind; the row's flat helpers are the same code as the public maps."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(specs_and_vectors())
+    def test_steepest_direction_pairs_with_the_dual_norm(self, case):
+        spec, g = case
+        dual = dual_norm_value(spec, g)
+        assume(dual > 1e-6)
+        d = steepest_direction(spec, g)
+        assert d.dot(g.trainable_view()) == pytest.approx(-dual * dual, rel=1e-9)
+        assert norm_value(spec, d) == pytest.approx(dual, rel=1e-9)
+        assert norms._dual(spec, g.trainable_blocks(), g.trainable_flat()) == dual
+
+    @settings(max_examples=300, deadline=None)
+    @given(specs_and_vectors())
+    def test_norm_subgradient_pairs_with_the_norm(self, case):
+        spec, theta = case
+        tv = theta.trainable_view()
+        value = norm_value(spec, tv)
+        assume(value > 1e-6)
+        n = norm_subgradient(spec, tv)
+        assert n.dot(tv) == pytest.approx(value, rel=1e-9)
+        assert dual_norm_value(spec, n) <= 1.0 + 1e-12
+        flat = norms._subgradient(spec, tv.blocks, tv.flat(), value)
+        assert flat.tobytes() == n.flat().tobytes()
 
 
 class TestThinSvd:
