@@ -326,9 +326,7 @@ def _field_format(column: str, value) -> str:
 def emit_csv(log: RunLog, path) -> None:
     """Fixed-order CSV of the logged rows, 17 significant digits: None is
     empty, a bool 1 or 0. A row is one %-format over its fields, built once
-    per pattern of field types. The fields are a mapping, not a 20-tuple:
-    CPython 3.11 parks freed 20-tuples on a free list it never takes from
-    (0.4 MiB over a long run)."""
+    per pattern of field types."""
     formats = {}
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(CSV_COLUMNS) + "\n")

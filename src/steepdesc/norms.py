@@ -148,7 +148,7 @@ def _block_norm(kind: str, block: np.ndarray) -> float:
             return _l2(x)
         return float(np.abs(x).max()) if x.size else 0.0
     m = _as_matrix(block)
-    if m.size == 0:
+    if m.size == 0 or not m.any():
         return 0.0
     if m.shape[1] == 1:
         return _l2(m.ravel())

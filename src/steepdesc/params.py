@@ -166,9 +166,9 @@ class ParamVector:
         f(x; c*theta) = c^L f(x; theta) is stated.
         """
         head = self.trainable_flat()
-        if head.size == self.buffer.size:
-            return self.like(c * head)
-        return self.like(np.concatenate((c * head, self.buffer[head.size:])))
+        out = self.buffer.copy()
+        np.multiply(head, c, out=out[:head.size])
+        return self.like(out)
 
     def dot(self, other: "ParamVector") -> float:
         self.check_same_structure(other)

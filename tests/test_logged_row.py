@@ -7,7 +7,7 @@ every norm kind, with and without a frozen second layer, under both losses,
 at separated points; and the CSV bytes of rows holding None, bools,
 integers, NaN, infinities, -0.0 and subnormals. A count test pins what one
 post-separation row computes: one KKT product, one SVD, one <theta, g_hat>
-and at most two ParamVector constructions.
+and at most two ParamVector constructions (five with a frozen second layer).
 """
 import dataclasses
 import math
@@ -317,12 +317,15 @@ def test_csv_bytes_match_on_any_fields(tmp_path_factory, rows):
 
 # --- what one row computes
 
-def test_one_row_computes_each_quantity_once(monkeypatch):
+@pytest.mark.parametrize("freeze, vectors", [(False, 2), (True, 5)])
+def test_one_row_computes_each_quantity_once(monkeypatch, freeze, vectors):
     """One post-separation row under the l2 algorithm norm: one KKT product,
     one SVD (the reported spectral norm), one <theta, g_hat> and at most two
-    ParamVectors (theta~ and the product). The step's gradient is read first:
-    the step forms it whether or not the row is logged."""
-    model, theta, data = random_point(1, False, 1.0)
+    ParamVectors (theta~ and the product). A frozen second layer adds three
+    trainable views: theta~'s, and the Evaluation's of theta and g_hat. The
+    step's gradient is read first: the step forms it whether or not the row
+    is logged."""
+    model, theta, data = random_point(1, freeze, 1.0)
     algo = NormSpec.l2()
     ev = evaluate(EXP, model, theta, data)
     g_hat = ev.subgradient[0]
@@ -356,4 +359,4 @@ def test_one_row_computes_each_quantity_once(monkeypatch):
     row = harness._build_row(5, config, ev, rep, None, True, 0.5, False)
     assert row.kkt_eps is not None and row.bregman_bound is not None
     assert counts["wss"] == counts["svd"] == counts["theta.g_hat"] == 1
-    assert counts["vectors"] <= 2
+    assert counts["vectors"] <= vectors
