@@ -266,12 +266,24 @@ def export_csv(ds: Dataset, path) -> None:
 
 def load_points_csv(path) -> Dataset:
     """Read the export_csv format back (used by the oracle CLI)."""
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from exc
     if not lines or not lines[0].startswith("y,"):
         raise DataFormatError(f"{path}: expected a 'y,x1,...' header")
-    rows = [line.split(",") for line in lines[1:]]
+    width = len(lines[0].split(","))
+    rows = []
+    for ln, line in enumerate(lines[1:], 2):
+        cells = line.split(",")
+        if len(cells) != width:
+            raise DataFormatError(f"{path}:{ln}: {len(cells)} cells, the header "
+                                  f"has {width}")
+        try:
+            rows.append([float(v) for v in cells])
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{ln}: {exc}") from exc
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
-    y = np.array([float(r[0]) for r in rows])
-    X = np.array([[float(v) for v in r[1:]] for r in rows])
-    return Dataset(X, y, {"source": "csv", "path": str(path)})
+    table = np.array(rows)
+    return Dataset(table[:, 1:], table[:, 0], {"source": "csv", "path": str(path)})

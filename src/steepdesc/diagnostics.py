@@ -138,7 +138,8 @@ def scale_to_feasible(model: ModelSpec, theta: ParamVector, data) -> ParamVector
 
 def bregman_divergence(algo_norm: NormSpec, y: ParamVector, z: ParamVector,
                        m_vec: ParamVector) -> float:
-    """Generalized divergence 0.5||y||*^2 - 0.5||z||*^2 - <m, y - z>.
+    """Generalized divergence 0.5||y||*^2 - 0.5||z||*^2 - <m, y - z>, over
+    the trainable blocks.
 
     ``m_vec`` must be a subgradient of 0.5||.||*^2 at ``z`` (the caller's
     responsibility). The value is a stationarity gap, not a metric: it can
@@ -146,8 +147,9 @@ def bregman_divergence(algo_norm: NormSpec, y: ParamVector, z: ParamVector,
     """
     y.check_same_structure(z, "bregman_divergence")
     y.check_same_structure(m_vec, "bregman_divergence")
+    diff = y.trainable_flat() - z.trainable_flat()
     return _bregman(dual_norm_value(algo_norm, y), dual_norm_value(algo_norm, z),
-                    m_vec.dot(y - z))
+                    m_vec.trainable_view().dot_flat(diff))
 
 
 def _bregman(dual_y: float, dual_z: float, inner: float) -> float:

@@ -37,9 +37,5 @@ class ConfigError(SteepdescError, ValueError):
     """A run configuration file or value is invalid."""
 
 
-class StaleEvaluationError(SteepdescError, RuntimeError):
-    """An evaluation's workspace was overwritten before its subgradient was read."""
-
-
 class InvariantViolation(SteepdescError, RuntimeError):
     """A strict-mode trajectory invariant failed on a logged row."""

@@ -29,8 +29,7 @@ from .diagnostics import (MarginReport, detect_separation, kkt_residuals,
                           margin_report)
 from .errors import ConfigError, DivergenceError, InvariantViolation
 from .losses import EXPONENTIAL, Evaluation, LossSpec, evaluate, output_margins
-from .models import (InitSpec, ModelSpec, Workspace, init_params,
-                     save_checkpoint)
+from .models import InitSpec, ModelSpec, init_params, save_checkpoint
 from .norms import NormSpec
 from .optimizers import (AdamMethod, OptimizerSpec, OptimizerState,
                          ShampooMethod, SteepestMethod, apply_switch, take_step)
@@ -222,7 +221,7 @@ def run_training(config: RunConfig, train: Optional[Dataset] = None,
     opt_spec = config.optimizer
     state = OptimizerState.fresh()
     log = RunLog(train_m=train.m)
-    work = Workspace(model, train.m)
+    hidden = np.empty((train.m, model.width))    # reused by every evaluate
 
     for step in range(config.epochs + 1):
         logged = step % config.log_every == 0 or step == config.epochs
@@ -231,7 +230,7 @@ def run_training(config: RunConfig, train: Optional[Dataset] = None,
             continue            # theta is fixed: only logged steps evaluate
         if not theta.allfinite():
             raise DivergenceError(step, "non-finite parameters")
-        ev = evaluate(loss, model, theta, train, work)
+        ev = evaluate(loss, model, theta, train, hidden)
         if not np.isfinite(ev.q).all():
             raise DivergenceError(step, "non-finite margins")
         if not math.isfinite(ev.log_loss):
@@ -476,7 +475,7 @@ def read_flat_config(path) -> dict:
     values = {}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for ln, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
@@ -598,7 +597,7 @@ def config_from_values(values: dict, output_dir: Optional[str] = None) -> RunCon
         raise ConfigError(f"missing config key {exc.args[0]!r}") from exc
     except ConfigError:
         raise
-    except ValueError as exc:          # int() or float() of a malformed value
+    except (ValueError, OverflowError) as exc:   # e.g. int("x"), int(inf)
         raise ConfigError(f"malformed config value: {exc}") from exc
 
 

@@ -9,12 +9,10 @@ per-example weights, multipliers) is carried as logarithms:
   * ``logistic``     Phi(u) = -log(log(1 + exp(-u))), so l(u) = log(1+exp(-u))
 
 ``log_loss`` is exact in log-domain even when every term underflows;
-``evaluate`` computes margins, log-weights and log-loss once per point, and
-its ``subgradient`` factors the gradient as exp(log_scale) * g_hat with g_hat
+``evaluate`` computes margins, log-weights, log-loss and the subgradient once
+per point, right after the forward pass and from the hidden layer it left.
+The subgradient is factored as exp(log_scale) * g_hat with g_hat
 well-conditioned, which the training step and the diagnostics all share.
-The subgradient is formed from the hidden layer the forward pass left in a
-``models.Workspace``; once a later ``evaluate`` reuses that workspace, an
-evaluation whose subgradient was not yet read raises ``StaleEvaluationError``.
 """
 from __future__ import annotations
 
@@ -24,9 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, StaleEvaluationError
-from .models import (ModelSpec, Workspace, forward_batch,
-                     hidden_subgradient_sum)
+from .errors import ConfigError
+from .models import ModelSpec, forward_batch, hidden_subgradient_sum
 from .norms import NormSpec, dual_norm_value, norm_value
 from .params import ParamVector
 
@@ -130,8 +127,14 @@ def phi_prime(loss: LossSpec, u):
 
 @dataclass(frozen=True)
 class Evaluation:
-    """Margins ``q``, log-weights ``logw`` and ``log_loss`` at one point; its
-    hidden layer is in ``work`` while ``work.generation == generation``."""
+    """Margins ``q``, log-weights ``logw``, ``log_loss`` and the loss
+    subgradient at one point.
+
+    ``subgradient`` is (g_hat, log_scale) with the loss subgradient
+    exp(log_scale) * g_hat, g_hat = -sum_i exp(logw_i - log_scale) y_i h_i and
+    log_scale the largest log-weight, so g_hat stays representable however
+    small the loss.
+    """
 
     loss: LossSpec
     model: ModelSpec
@@ -140,36 +143,16 @@ class Evaluation:
     q: np.ndarray
     logw: np.ndarray
     log_loss: float
-    work: Workspace
-    generation: int
+    subgradient: tuple[ParamVector, float]
     _duals: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
     _norms: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
-    @cached_property
-    def subgradient(self) -> tuple[ParamVector, float]:
-        """(g_hat, log_scale) with the loss subgradient exp(log_scale) * g_hat,
-        g_hat = -sum_i exp(logw_i - log_scale) y_i h_i and log_scale the largest
-        log-weight, so g_hat stays representable however small the loss. Formed
-        on first read: a frozen, unlogged step never pays for it."""
-        if self.work.generation != self.generation:
-            raise StaleEvaluationError(
-                "evaluation's workspace was reused by a later evaluate")
-        scale = float(self.logw.max())
-        coeffs = -self.data.y * np.exp(self.logw - scale)
-        return hidden_subgradient_sum(self.model, self.theta, self.data.X,
-                                      coeffs, self.work), scale
-
-    @cached_property
-    def g_hat_trainable(self) -> ParamVector:
-        """The trainable blocks of g_hat."""
-        return self.subgradient[0].trainable_view()
-
     def subgradient_dual(self, norm: NormSpec) -> float:
         """||g_hat||* of the trainable blocks under ``norm``, once per norm."""
         if norm not in self._duals:
-            self._duals[norm] = dual_norm_value(norm, self.g_hat_trainable)
+            self._duals[norm] = dual_norm_value(norm, self.subgradient[0])
         return self._duals[norm]
 
     @cached_property
@@ -185,7 +168,7 @@ class Evaluation:
     @cached_property
     def theta_dot_g_hat(self) -> float:
         """<theta, g_hat> over the trainable blocks."""
-        return self.theta_trainable.dot_flat(self.g_hat_trainable.flat())
+        return self.theta_trainable.dot_flat(self.subgradient[0].trainable_flat())
 
     def theta_norm(self, norm: NormSpec) -> float:
         """||theta|| of the trainable blocks under ``norm``, once per norm."""
@@ -195,15 +178,21 @@ class Evaluation:
 
 
 def evaluate(loss: LossSpec, model: ModelSpec, theta: ParamVector, data,
-             work: Workspace | None = None) -> Evaluation:
-    """One forward pass over ``data`` and everything the loss derives from it,
-    into ``work`` (a ``Workspace`` for the rows of ``data.X``) or a new one."""
-    if work is None:
-        work = Workspace(model, len(data.X))
-    work.generation += 1
-    q = output_margins(model, theta, data, work.hidden)
-    return Evaluation(loss, model, theta, data, q, log_weights(loss, q),
-                      log_loss(loss, q), work, work.generation)
+             hidden: np.ndarray | None = None) -> Evaluation:
+    """One forward pass over ``data`` and everything the loss derives from it.
+
+    ``hidden`` is an (m, width) buffer for the rows of ``data.X``, reused
+    across calls; a new one is allocated when it is not given.
+    """
+    if hidden is None:
+        hidden = np.empty((len(data.X), model.width))
+    q = output_margins(model, theta, data, hidden)
+    logw = log_weights(loss, q)
+    scale = float(logw.max())
+    coeffs = -data.y * np.exp(logw - scale)
+    g_hat = hidden_subgradient_sum(model, theta, data.X, coeffs, hidden)
+    return Evaluation(loss, model, theta, data, q, logw, log_loss(loss, q),
+                      (g_hat, scale))
 
 
 def loss_subgradient(loss: LossSpec, model: ModelSpec, theta: ParamVector,

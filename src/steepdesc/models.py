@@ -12,9 +12,10 @@ is relu'(0) = 0, so inactive and exactly-critical neurons contribute
 nothing. Per-example subgradients are reduced over examples in index order
 (delegated to matrix products with a fixed order on this platform).
 
-A training step forms relu(X @ W.T) once, into a ``Workspace`` allocated once
-per run: ``forward_batch`` writes it and ``hidden_subgradient_sum`` reads it,
-so a step makes no (m, width) temporaries.
+A training step forms relu(X @ W.T) once, into an (m, width) buffer allocated
+once per run: ``forward_batch`` writes it and ``hidden_subgradient_sum`` reads
+it and then reuses it for the weighted activity mask, so a step makes no
+(m, width) temporaries.
 """
 from __future__ import annotations
 
@@ -108,16 +109,6 @@ def forward(model: ModelSpec, theta: ParamVector, x: np.ndarray) -> float:
     return float(u @ np.maximum(w @ x, 0.0))
 
 
-class Workspace:
-    """(m, width) buffers for relu(X @ W.T) and the subgradient's weighted
-    activity mask; ``generation`` counts the forward passes written here."""
-
-    def __init__(self, model: ModelSpec, m: int):
-        self.hidden = np.empty((m, model.width))
-        self.weighted = np.empty((m, model.width))
-        self.generation = 0
-
-
 def forward_batch(model: ModelSpec, theta: ParamVector, X: np.ndarray,
                   hidden: np.ndarray | None = None) -> np.ndarray:
     """f over the rows of X, shape (m,).
@@ -127,6 +118,9 @@ def forward_batch(model: ModelSpec, theta: ParamVector, X: np.ndarray,
     """
     _check_params(model, theta)
     X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != model.input_dim:
+        raise ShapeMismatchError(f"inputs must have shape (m, {model.input_dim}), "
+                                 f"got {X.shape}")
     if model.kind == LINEAR:
         return X @ theta.blocks[0]
     w, u = theta.blocks
@@ -169,30 +163,31 @@ def weighted_subgradient_sum(model: ModelSpec, theta: ParamVector,
     _check_params(model, theta)
     X = np.asarray(X, dtype=np.float64)
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    work = Workspace(model, len(X))
-    if model.kind == TWO_LAYER_RELU:
-        np.maximum(X @ theta.blocks[0].T, 0.0, out=work.hidden)
-    return hidden_subgradient_sum(model, theta, X, coeffs, work)
+    hidden = (np.maximum(X @ theta.blocks[0].T, 0.0)
+              if model.kind == TWO_LAYER_RELU else None)
+    return hidden_subgradient_sum(model, theta, X, coeffs, hidden)
 
 
 def hidden_subgradient_sum(model: ModelSpec, theta: ParamVector, X: np.ndarray,
-                           coeffs: np.ndarray, work: Workspace) -> ParamVector:
+                           coeffs: np.ndarray,
+                           hidden: np.ndarray | None) -> ParamVector:
     """``weighted_subgradient_sum`` from the hidden layer that
-    ``forward_batch(model, theta, X, work.hidden)`` left in ``work``: the
-    same numbers, without a second product of X with W."""
+    ``forward_batch(model, theta, X, hidden)`` left in ``hidden``: the same
+    numbers, without a second product of X with W. ``hidden`` is overwritten
+    with the weighted activity mask; a linear model does not read it."""
     _check_params(model, theta)
     if model.kind == LINEAR:
         return theta.like(coeffs @ X)
     w, u = theta.blocks
-    # relu(z) > 0 exactly where z > 0, so the mask comes from the hidden layer
-    weighted = np.greater(work.hidden, 0.0, out=work.weighted)
-    np.multiply(coeffs[:, None], weighted, out=weighted)
     grad = np.empty(theta.size)
-    np.multiply(weighted.T @ X, u[:, None], out=grad[:w.size].reshape(w.shape))
     if theta.trainable[1]:
-        grad[w.size:] = work.hidden.T @ coeffs
+        grad[w.size:] = hidden.T @ coeffs
     else:
         grad[w.size:] = 0.0       # a frozen second layer has a zero block
+    # relu(z) > 0 exactly where z > 0, so the mask comes from the hidden layer
+    weighted = np.greater(hidden, 0.0, out=hidden)
+    np.multiply(coeffs[:, None], weighted, out=weighted)
+    np.multiply(weighted.T @ X, u[:, None], out=grad[:w.size].reshape(w.shape))
     return theta.like(grad)
 
 

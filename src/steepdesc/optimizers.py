@@ -8,11 +8,10 @@ Frozen blocks never move: each step forms the new point with one
 
 A steepest step builds two vectors, the unit direction and the new point,
 also with a frozen block: the direction and the dual norm read the
-gradient's trainable prefix in place. With the gradient
-``Evaluation.subgradient`` builds, a training step builds three. The
-gradient is checked for non-finite entries once, inside
-``unit_steepest_direction``, and the dual norm is taken only for the raw
-step's factor.
+gradient's trainable prefix in place. With the gradient ``evaluate``
+builds, a training step builds three. The gradient is checked for
+non-finite entries once, inside ``unit_steepest_direction``, and the dual
+norm is taken only for the raw step's factor.
 
 Special cases worth knowing:
   * Adam with beta1 = beta2 = eps = 0 is exactly the normalized sign step

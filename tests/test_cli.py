@@ -71,7 +71,9 @@ class TestTrainCommand:
         assert str(missing) in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["input_dim = abc", "step_size = -1",
-                                      "epochs = 1.5e", "loss = hinge"])
+                                      "epochs = 1.5e", "loss = hinge",
+                                      "epochs = 1e400", "width = inf",
+                                      "seed = -inf"])
     def test_malformed_value_exits_1(self, tmp_path, toy_dataset, capsys, line):
         cfg, _ = write_config(tmp_path, toy_dataset)
         cfg.write_text(cfg.read_text() + line + "\n")
@@ -120,6 +122,23 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err, err
         assert "diverged" not in err
+        assert not (out / "run.csv").exists()
+
+    def test_non_utf8_config_exits_1(self, tmp_path, toy_dataset, capsys):
+        cfg, out = write_config(tmp_path, toy_dataset)
+        cfg.write_bytes(cfg.read_bytes() + b"# caf\xe9\n")
+        assert cli_main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config file {cfg}")
+        assert not (out / "run.csv").exists()
+
+    def test_dataset_of_another_dimension_exits_1(self, tmp_path, toy_dataset,
+                                                  capsys):
+        cfg, out = write_config(tmp_path, toy_dataset)
+        cfg.write_text(cfg.read_text().replace("input_dim = 2", "input_dim = 3"))
+        assert cli_main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "(m, 3)" in err, err
         assert not (out / "run.csv").exists()
 
     def test_second_diagnostics_norm_exits_1(self, tmp_path, toy_dataset, capsys):
@@ -202,6 +221,18 @@ class TestOracleCommand:
         assert cli_main(["oracle", "--norm", norm, "--data", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("text, where", [
+        ("y,x1,x2\n1,1.0,0.5\n-1,abc,0.5\n", ":3: "),
+        ("y,x1,x2\n1,1.0,0.5\n-1,-1.0\n", ":3: 2 cells"),
+        ("y,x1,x2\n1,1.0,0.5,7\n-1,-1.0,0.5\n", ":2: 4 cells"),
+        ("y,x1\n1,\n", ":2: "),
+    ], ids=["non-numeric cell", "short row", "long row", "empty cell"])
+    def test_malformed_csv_exits_1(self, tmp_path, capsys, text, where):
+        path = tmp_path / "points.csv"
+        path.write_text(text)
+        assert cli_main(["oracle", "--norm", "l2", "--data", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}{where}")
+
 
 class TestDiagnoseCommand:
     def test_json_report(self, tmp_path, toy_dataset, capsys):
@@ -247,6 +278,19 @@ class TestDiagnoseCommand:
                          "--data", str(toy_dataset)])
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    def test_checkpoint_of_another_dimension_exits_1(self, tmp_path, capsys):
+        from steepdesc.data import Dataset, save_dataset
+        data = tmp_path / "d5.stpd"
+        save_dataset(Dataset(np.eye(2, 5), np.array([1.0, -1.0])), data)
+        model = ModelSpec.two_layer_relu(16, 8)
+        ckpt = tmp_path / "theta.ckpt"
+        save_checkpoint(ckpt, model, init_params(model, InitSpec(0.05, seed=3)))
+        code = cli_main(["diagnose", "--checkpoint", str(ckpt),
+                         "--data", str(data)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "(m, 16)" in err, err
 
     def test_frozen_block_before_a_trainable_one_exits_1(self, tmp_path,
                                                          toy_dataset, capsys):

@@ -145,6 +145,16 @@ class TestBregmanDivergence:
                 assert bregman_divergence(spec, y, z, m) == pytest.approx(
                     direct, rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("m_tail", [4.0, 0.0])
+    def test_frozen_blocks_stay_out_of_the_inner_product(self, m_tail):
+        frozen = (True, False)
+        y = ParamVector.of(np.array([1.0, 2.0]), np.array([5.0]), trainable=frozen)
+        z = ParamVector.of(np.array([0.5, 1.0]), np.array([1.0]), trainable=frozen)
+        m = ParamVector.of(np.array([0.3, 0.1]), np.array([m_tail]),
+                           trainable=frozen)
+        assert bregman_divergence(NormSpec.l2(), y, z, m) == pytest.approx(
+            1.625, rel=1e-15)
+
 
 class TestDetectSeparation:
     def test_exponential_strict(self):

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steepdesc.data import Dataset, save_dataset
 from steepdesc.errors import ConfigError, DivergenceError
@@ -307,6 +309,33 @@ switch_norm = l1
     def test_log_every_validation(self):
         with pytest.raises(ConfigError):
             toy_config(epochs=10, log_every=20)
+
+
+MINIMAL_CONFIG = ("input_dim = 2\nwidth = 4\nteacher_active = 2\n"
+                  "train_m = 8\nepochs = 100\n")
+VALUE = st.one_of(
+    st.sampled_from(["inf", "-inf", "nan", "1e400", "-1e400", "0", "-1", "2",
+                     "0.5", "true", "false", '"2"', "", "9" * 30, "l2",
+                     "modular:spectral,l2", "adam", "shampoo", "linear",
+                     "logistic", "teacher", "dataset", "idx",
+                     "coordinate_uniform"]),
+    st.integers().map(str), st.floats().map(repr), st.text(max_size=12))
+LINE = st.one_of(
+    st.builds("{} = {}".format, st.sampled_from(sorted(CONFIG_KEYS)), VALUE),
+    st.text(max_size=30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["", MINIMAL_CONFIG]), st.lists(LINE, max_size=8))
+def test_any_config_text_gives_a_config_or_a_config_error(tmp_path_factory,
+                                                          head, lines):
+    path = tmp_path_factory.mktemp("cfg") / "run.cfg"
+    path.write_text(head + "\n".join(lines), encoding="utf-8")
+    try:
+        config = config_from_values(read_flat_config(path))
+    except ConfigError:
+        return
+    assert isinstance(config, RunConfig)
 
 
 class TestDataSourceResolution:

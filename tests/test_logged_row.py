@@ -7,7 +7,9 @@ every norm kind, with and without a frozen second layer, under both losses,
 at separated points; and the CSV bytes of rows holding None, bools,
 integers, NaN, infinities, -0.0 and subnormals. A count test pins what one
 post-separation row computes: one KKT product, one SVD, one <theta, g_hat>
-and at most two ParamVector constructions (five with a frozen second layer).
+and at most two ParamVector constructions (four with a frozen second layer),
+and that the row does not form the step's gradient, which ``evaluate`` has
+already formed.
 """
 import dataclasses
 import math
@@ -20,13 +22,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steepdesc import diagnostics, harness, norms
+from steepdesc import diagnostics, harness, losses, norms
 from steepdesc.diagnostics import kkt_residuals, margin_report
 from steepdesc.errors import ZeroVectorError
 from steepdesc.harness import (CSV_COLUMNS, LogRow, RunLog, config_from_values,
                                emit_csv, read_flat_config, run_training)
 from steepdesc.losses import LossSpec, evaluate, phi_inverse
-from steepdesc.models import ModelSpec, forward_batch, weighted_subgradient_sum
+from steepdesc.models import (ModelSpec, forward_batch, hidden_subgradient_sum,
+                              weighted_subgradient_sum)
 from steepdesc.norms import NormSpec
 from steepdesc.params import ParamVector
 
@@ -317,14 +320,13 @@ def test_csv_bytes_match_on_any_fields(tmp_path_factory, rows):
 
 # --- what one row computes
 
-@pytest.mark.parametrize("freeze, vectors", [(False, 2), (True, 5)])
+@pytest.mark.parametrize("freeze, vectors", [(False, 2), (True, 4)])
 def test_one_row_computes_each_quantity_once(monkeypatch, freeze, vectors):
     """One post-separation row under the l2 algorithm norm: one KKT product,
     one SVD (the reported spectral norm), one <theta, g_hat> and at most two
-    ParamVectors (theta~ and the product). A frozen second layer adds three
-    trainable views: theta~'s, and the Evaluation's of theta and g_hat. The
-    step's gradient is read first: the step forms it whether or not the row
-    is logged."""
+    ParamVectors (theta~ and the product). A frozen second layer adds two
+    trainable views: theta~'s and the Evaluation's of theta. The step's
+    gradient is formed by ``evaluate``, before the count starts."""
     model, theta, data = random_point(1, freeze, 1.0)
     algo = NormSpec.l2()
     ev = evaluate(EXP, model, theta, data)
@@ -360,3 +362,21 @@ def test_one_row_computes_each_quantity_once(monkeypatch, freeze, vectors):
     assert row.kkt_eps is not None and row.bregman_bound is not None
     assert counts["wss"] == counts["svd"] == counts["theta.g_hat"] == 1
     assert counts["vectors"] <= vectors
+
+
+@pytest.mark.parametrize("freeze", [False, True], ids=["trainable", "frozen"])
+def test_the_step_gradient_is_formed_by_evaluate(monkeypatch, freeze):
+    """``evaluate`` forms the gradient once; the row's reports reuse it."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return hidden_subgradient_sum(*args)
+
+    monkeypatch.setattr(losses, "hidden_subgradient_sum", counted)
+    model, theta, data = random_point(2, freeze, 1.0)
+    ev = evaluate(EXP, model, theta, data)
+    assert len(calls) == 1
+    margin_report(ev, NormSpec.l2())
+    kkt_residuals(ev, NormSpec.l2(), 0.5)
+    assert len(calls) == 1

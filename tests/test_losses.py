@@ -4,11 +4,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from steepdesc.errors import StaleEvaluationError
 from steepdesc.losses import (LossSpec, evaluate, log_loss, log_terms,
                               loss_subgradient, output_margins, phi,
                               phi_inverse, phi_prime, separation_threshold)
-from steepdesc.models import (ModelSpec, Workspace, network_subgradient,
+from steepdesc.models import (ModelSpec, network_subgradient,
                               weighted_subgradient_sum)
 from steepdesc.params import ParamVector, from_flat
 
@@ -268,22 +267,9 @@ class TestSharedHiddenLayer:
     def test_equals_a_fresh_weighted_sum_across_reuse(self, model):
         rng = np.random.default_rng(5)
         data = Points(rng.standard_normal((37, 5)), np.sign(rng.standard_normal(37)))
-        work = Workspace(model, 37)
-        for _ in range(2):          # the second pass reuses the buffers
-            ev = evaluate(LOG, model, random_point(rng, model), data, work)
+        hidden = np.empty((37, model.width))
+        for _ in range(2):          # the second pass reuses the buffer
+            ev = evaluate(LOG, model, random_point(rng, model), data, hidden)
             (g_hat, scale), (ref, ref_scale) = ev.subgradient, fresh_subgradient(ev)
             assert scale == ref_scale
             assert same_bits(g_hat, ref)
-
-    def test_stale_evaluation_raises(self):
-        rng = np.random.default_rng(6)
-        model = SHARED_MODELS[0]
-        data = Points(rng.standard_normal((9, 5)), np.sign(rng.standard_normal(9)))
-        work = Workspace(model, 9)
-        read = evaluate(EXP, model, random_point(rng, model), data, work)
-        read.subgradient
-        stale = evaluate(EXP, model, random_point(rng, model), data, work)
-        evaluate(EXP, model, random_point(rng, model), data, work)
-        with pytest.raises(StaleEvaluationError):
-            stale.subgradient
-        assert same_bits(read.subgradient[0], fresh_subgradient(read)[0])
