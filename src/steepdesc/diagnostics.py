@@ -23,8 +23,7 @@ from .errors import NotSeparatedError, ZeroVectorError
 from .losses import (Evaluation, LossSpec, output_margins, phi_inverse,
                      separation_threshold)
 from .models import ModelSpec, weighted_subgradient_sum
-from .norms import (NormSpec, _dual, _l2, _subgradient, dual_norm_value,
-                    norm_value)
+from .norms import NormSpec, _dual, _l2, _subgradient, dual_norm_value
 from .params import ParamVector
 
 
@@ -149,7 +148,7 @@ def bregman_divergence(algo_norm: NormSpec, y: ParamVector, z: ParamVector,
     y.check_same_structure(m_vec, "bregman_divergence")
     diff = y.trainable_flat() - z.trainable_flat()
     return _bregman(dual_norm_value(algo_norm, y), dual_norm_value(algo_norm, z),
-                    m_vec.trainable_view().dot_flat(diff))
+                    m_vec.dot_flat(diff))
 
 
 def _bregman(dual_y: float, dual_z: float, inner: float) -> float:
@@ -188,10 +187,8 @@ def kkt_residuals(ev: Evaluation, algo_norm: NormSpec,
                   + (1.0 - 2.0 / degree) * math.log(q_min) + ev.logw)
 
     theta_f = ev.theta.scaled_trainable(q_min ** (-1.0 / degree))
-    theta_f_tr = theta_f.trainable_view()
-    theta_f_norm = norm_value(algo_norm, theta_f_tr)
-    k = theta_f_norm * _subgradient(algo_norm, theta_f_tr.blocks,
-                                    theta_f_tr.flat(), theta_f_norm)
+    theta_f_norm, n = _subgradient(algo_norm, theta_f)
+    k = theta_f_norm * n
 
     shift = float(log_lambda.max())
     scale = math.exp(shift)
@@ -201,9 +198,8 @@ def kkt_residuals(ev: Evaluation, algo_norm: NormSpec,
     diff = s - k
     eps = _l2(diff)
     delta = float(scale * lambdas.dot(ev.q / q_min - 1.0))
-    gap = _bregman(_dual(algo_norm, theta_f_tr.views(s), s),
-                   _dual(algo_norm, theta_f_tr.views(k), k),
-                   theta_f_tr.dot_flat(diff))
+    gap = _bregman(_dual(algo_norm, theta_f, s), _dual(algo_norm, theta_f, k),
+                   theta_f.dot_flat(diff))
 
     bregman_bound = delta_bound = None
     if gamma_tilde_t0 is not None and gamma_tilde_t0 > 0.0:

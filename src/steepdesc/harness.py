@@ -496,6 +496,15 @@ def _flag(v: dict, key: str) -> bool:
     return value
 
 
+def _integer(v: dict, key: str, default: Optional[int] = None) -> int:
+    """An integer key (required without a ``default``): an int or an
+    integral float such as 1e3; a bool or a fraction is not truncated."""
+    value = v[key] if default is None else v.get(key, default)
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _optimizer_from_values(v: dict, prefix: str = "") -> OptimizerSpec:
     kind = str(v.get(prefix + "optimizer", "steepest")).lower()
     eta = float(v.get(prefix + "step_size", v.get("step_size", 1e-2)))
@@ -532,16 +541,16 @@ def config_from_values(values: dict, output_dir: Optional[str] = None) -> RunCon
     v = dict(values)
     try:
         model_kind = str(v.get("model_kind", "two_layer_relu"))
-        input_dim = int(v["input_dim"])
+        input_dim = _integer(v, "input_dim")
         if model_kind == "linear":
             model = ModelSpec.linear(input_dim)
         else:
             model = ModelSpec.two_layer_relu(
-                input_dim, int(v["width"]),
+                input_dim, _integer(v, "width"),
                 _flag(v, "freeze_second_layer"))
         init = InitSpec(scale=float(v.get("init_scale", 0.01)),
                         scheme=str(v.get("init_scheme", "fan_in_uniform")),
-                        seed=int(v.get("init_seed", 0)))
+                        seed=_integer(v, "init_seed", 0))
         loss = LossSpec(str(v.get("loss", "exponential")))
 
         optimizer = _optimizer_from_values(v)
@@ -562,28 +571,28 @@ def config_from_values(values: dict, output_dir: Optional[str] = None) -> RunCon
         if data_kind == "teacher":
             teacher = TeacherSpec(
                 input_dim=input_dim,
-                width=int(v.get("teacher_k", 4)),
-                active_per_neuron=int(v.get("teacher_active", 3)),
+                width=_integer(v, "teacher_k", 4),
+                active_per_neuron=_integer(v, "teacher_active", 3),
                 weight_scale=float(v.get("teacher_weight_scale", 1.0)),
-                seed=int(v.get("teacher_seed", 1)))
+                seed=_integer(v, "teacher_seed", 1))
             data = DataSource(kind="teacher", teacher=teacher,
-                              train_m=int(v["train_m"]),
-                              data_seed=(int(v["data_seed"])
+                              train_m=_integer(v, "train_m"),
+                              data_seed=(_integer(v, "data_seed")
                                          if "data_seed" in v else None),
-                              test_m=int(v.get("test_m", 0)))
+                              test_m=_integer(v, "test_m", 0))
         elif data_kind == "dataset":
             data = DataSource(kind="dataset", dataset_path=str(v["dataset_path"]))
         elif data_kind == "idx":
             data = DataSource(kind="idx", idx_images=str(v["idx_images"]),
                               idx_labels=str(v["idx_labels"]),
-                              digit_a=int(v.get("digit_a", 3)),
-                              digit_b=int(v.get("digit_b", 6)),
-                              train_m=int(v["train_m"]))
+                              digit_a=_integer(v, "digit_a", 3),
+                              digit_b=_integer(v, "digit_b", 6),
+                              train_m=_integer(v, "train_m"))
         else:
             raise ConfigError(f"unknown data kind {data_kind!r}")
 
-        epochs = int(v["epochs"])
-        log_every = int(v.get("log_every", max(1, epochs // 1000)))
+        epochs = _integer(v, "epochs")
+        log_every = _integer(v, "log_every", max(1, epochs // 1000))
         # one norm; a comma list ("linf,l2") is an unknown norm, while
         # "modular:l2,l1" stays one norm
         diag = (parse_norm(str(v.get("diagnostics_norms", "l2"))),)
@@ -591,13 +600,13 @@ def config_from_values(values: dict, output_dir: Optional[str] = None) -> RunCon
         out_dir = os.environ.get("STEEPDESC_OUTPUT_DIR", out_dir) or None
         return RunConfig(model=model, init=init, loss=loss, optimizer=optimizer,
                          data=data, epochs=epochs, log_every=log_every,
-                         diagnostics_norms=diag, seed=int(v.get("seed", 0)),
+                         diagnostics_norms=diag, seed=_integer(v, "seed", 0),
                          output_dir=out_dir, strict=_flag(v, "strict"))
     except KeyError as exc:
         raise ConfigError(f"missing config key {exc.args[0]!r}") from exc
     except ConfigError:
         raise
-    except (ValueError, OverflowError) as exc:   # e.g. int("x"), int(inf)
+    except (ValueError, OverflowError) as exc:   # e.g. int("x")
         raise ConfigError(f"malformed config value: {exc}") from exc
 
 

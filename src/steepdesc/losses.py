@@ -156,11 +156,6 @@ class Evaluation:
         return self._duals[norm]
 
     @cached_property
-    def theta_trainable(self) -> ParamVector:
-        """The trainable blocks of theta."""
-        return self.theta.trainable_view()
-
-    @cached_property
     def q_min(self) -> float:
         """The worst output margin."""
         return float(self.q.min())
@@ -168,12 +163,12 @@ class Evaluation:
     @cached_property
     def theta_dot_g_hat(self) -> float:
         """<theta, g_hat> over the trainable blocks."""
-        return self.theta_trainable.dot_flat(self.subgradient[0].trainable_flat())
+        return self.theta.dot_flat(self.subgradient[0].trainable_flat())
 
     def theta_norm(self, norm: NormSpec) -> float:
         """||theta|| of the trainable blocks under ``norm``, once per norm."""
         if norm not in self._norms:
-            self._norms[norm] = norm_value(norm, self.theta_trainable)
+            self._norms[norm] = norm_value(norm, self.theta)
         return self._norms[norm]
 
 

@@ -12,10 +12,11 @@ is relu'(0) = 0, so inactive and exactly-critical neurons contribute
 nothing. Per-example subgradients are reduced over examples in index order
 (delegated to matrix products with a fixed order on this platform).
 
-A training step forms relu(X @ W.T) once, into an (m, width) buffer allocated
-once per run: ``forward_batch`` writes it and ``hidden_subgradient_sum`` reads
-it and then reuses it for the weighted activity mask, so a step makes no
-(m, width) temporaries.
+The hidden layer relu(X @ W.T) has one expression, ``_relu_hidden``, which
+writes it into a given buffer. A training step forms it once, into an
+(m, width) buffer allocated once per run: ``forward_batch`` writes it and
+``hidden_subgradient_sum`` reads it and then reuses it for the weighted
+activity mask, so a step makes no (m, width) temporaries.
 """
 from __future__ import annotations
 
@@ -113,8 +114,9 @@ def forward_batch(model: ModelSpec, theta: ParamVector, X: np.ndarray,
                   hidden: np.ndarray | None = None) -> np.ndarray:
     """f over the rows of X, shape (m,).
 
-    A two-layer model writes relu(X @ W.T) into ``hidden``, when given, in
-    chunks of its row count; it ends holding the last chunk.
+    A two-layer model writes relu(X @ W.T) into ``hidden`` (a new one for
+    all rows when not given) in chunks of its row count; it ends holding the
+    last chunk.
     """
     _check_params(model, theta)
     X = np.asarray(X, dtype=np.float64)
@@ -125,14 +127,18 @@ def forward_batch(model: ModelSpec, theta: ParamVector, X: np.ndarray,
         return X @ theta.blocks[0]
     w, u = theta.blocks
     if hidden is None:
-        return np.maximum(X @ w.T, 0.0) @ u
+        hidden = np.empty((max(len(X), 1), model.width))
     f = np.empty(len(X))
     for start in range(0, len(X), len(hidden)):
         rows = X[start:start + len(hidden)]
-        h = hidden[:len(rows)]
-        np.maximum(np.matmul(rows, w.T, out=h), 0.0, out=h)
+        h = _relu_hidden(rows, w, hidden[:len(rows)])
         np.matmul(h, u, out=f[start:start + len(rows)])
     return f
+
+
+def _relu_hidden(X: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The hidden layer relu(X @ w.T), written into ``out`` and returned."""
+    return np.maximum(np.matmul(X, w.T, out=out), 0.0, out=out)
 
 
 def network_subgradient(model: ModelSpec, theta: ParamVector, x: np.ndarray) -> ParamVector:
@@ -163,7 +169,7 @@ def weighted_subgradient_sum(model: ModelSpec, theta: ParamVector,
     _check_params(model, theta)
     X = np.asarray(X, dtype=np.float64)
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    hidden = (np.maximum(X @ theta.blocks[0].T, 0.0)
+    hidden = (_relu_hidden(X, theta.blocks[0], np.empty((len(X), model.width)))
               if model.kind == TWO_LAYER_RELU else None)
     return hidden_subgradient_sum(model, theta, X, coeffs, hidden)
 

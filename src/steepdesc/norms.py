@@ -12,9 +12,14 @@ flat l1 / l2 / l-infinity, per-block spectral, and the modular composite
   * ``norm_subgradient``  -- an element n of the subdifferential of ||.||,
                              i.e. <n, v> = ||v|| and ||n||* <= 1
 
-The gradient-side maps (the dual norm and the steepest directions) act on
-a vector's trainable blocks: frozen blocks are not optimization variables,
-and a direction has the trainable blocks' layout.
+Every map reads a vector's trainable blocks, its leading prefix: frozen
+blocks are not optimization variables, so they never enter a norm, and
+directions and subgradients come back in the trainable blocks' layout. Each
+norm is a max over segments (``_segments``): the whole trainable prefix for
+l1, l2 and l-infinity, one block each for spectral and modular norms. So
+||v|| is the segments' largest norm, ||g||* the sum of their dual norms,
+the unit direction joins the segments' directions, and the subgradient is
+the largest segment's, zero on the others.
 
 Tie-breaking is deterministic everywhere: argmax ties resolve to the lowest
 index, sign(0) = 0.
@@ -28,7 +33,7 @@ import numpy as np
 
 from .errors import (ConfigError, NonFiniteError, ShapeMismatchError,
                      ZeroVectorError)
-from .params import ParamVector, from_flat
+from .params import ParamVector
 
 L1 = "l1"
 L2 = "l2"
@@ -93,14 +98,6 @@ class NormSpec:
         return self.kind
 
 
-def _check_blocks(spec: NormSpec, blocks: tuple[np.ndarray, ...]) -> None:
-    if spec.kind == MODULAR_MAX and len(spec.block_norms) != len(blocks):
-        raise ShapeMismatchError(
-            f"modular_max has {len(spec.block_norms)} block norms but the "
-            f"vector has {len(blocks)} blocks"
-        )
-
-
 def _as_matrix(block: np.ndarray) -> np.ndarray:
     if block.ndim == 1:
         return block.reshape(-1, 1)
@@ -156,64 +153,61 @@ def _block_norm(kind: str, block: np.ndarray) -> float:
     return float(s[0] if kind == SPECTRAL else s.sum())
 
 
-def _block_kinds(spec: NormSpec, blocks: tuple[np.ndarray, ...]) -> list[str]:
-    """The norm kind of each of ``blocks`` under a per-block ``spec``."""
-    if spec.kind == SPECTRAL:
-        return [SPECTRAL] * len(blocks)
-    return [b.kind for b in spec.block_norms]
+def _segments(spec: NormSpec, v: ParamVector,
+              flat: np.ndarray | None = None) -> list[tuple[str, np.ndarray]]:
+    """The (kind, coordinates) pairs ||.|| is the max over, for v's trainable
+    prefix, or for ``flat`` in the layout of v's trainable blocks: all of it
+    for a flat kind, each block under its own kind for a spectral or modular
+    norm."""
+    if spec.kind in _FLAT_KINDS:
+        return [(spec.kind, v.trainable_flat() if flat is None else flat)]
+    blocks = v.trainable_blocks() if flat is None else v.views(flat)
+    kinds = ([SPECTRAL] * len(blocks) if spec.kind == SPECTRAL
+             else [b.kind for b in spec.block_norms])
+    if len(kinds) != len(blocks):
+        raise ShapeMismatchError(f"modular_max has {len(kinds)} block norms but "
+                                 f"the vector has {len(blocks)} trainable blocks")
+    return list(zip(kinds, blocks))
 
 
 def norm_value(spec: NormSpec, v: ParamVector) -> float:
-    """||v|| under ``spec``; always >= 0."""
-    _check_blocks(spec, v.blocks)
-    if spec.kind in _FLAT_KINDS:
-        return _block_norm(spec.kind, v.flat())
-    return max(_block_norm(k, b)
-               for k, b in zip(_block_kinds(spec, v.blocks), v.blocks))
+    """||v|| of v's trainable blocks under ``spec``; always >= 0."""
+    return max([_block_norm(k, x) for k, x in _segments(spec, v)])
 
 
 def dual_norm_value(spec: NormSpec, g: ParamVector) -> float:
     """||g||* of g's trainable blocks: l1 and l-infinity are mutually
     dual, l2 is self-dual, the dual of max-over-blocks is the sum of
     per-block duals, and the dual of the spectral norm is the nuclear norm."""
-    return _dual(spec, g.trainable_blocks(), g.trainable_flat())
+    return _dual(spec, g)
 
 
-def _dual(spec: NormSpec, blocks: tuple[np.ndarray, ...],
-          flat: np.ndarray) -> float:
-    """||.||* of the coordinates ``flat``, whose blocks are ``blocks``."""
-    _check_blocks(spec, blocks)
-    if spec.kind in _FLAT_KINDS:
-        return _block_norm(_DUAL[spec.kind], flat)
-    return float(sum(_block_norm(_DUAL[k], b)
-                     for k, b in zip(_block_kinds(spec, blocks), blocks)))
+def _dual(spec: NormSpec, v: ParamVector, flat: np.ndarray | None = None) -> float:
+    """||.||* of v's trainable prefix, or of ``flat`` in its layout."""
+    return float(sum([_block_norm(_DUAL[k], x) for k, x in _segments(spec, v, flat)]))
 
 
-def _unit_flat_direction(kind: str, flat: np.ndarray) -> np.ndarray:
-    """Unit-norm steepest direction for a flat norm, <d, g> = -||g||*;
-    zero where the dual norm ||g||* is zero."""
+def _unit_direction(kind: str, x: np.ndarray) -> np.ndarray:
+    """Unit-norm steepest direction of one segment as a flat array,
+    <d, x> = -||x||*; zero where ||x||* is zero."""
+    if kind == SPECTRAL:
+        if not x.any():
+            return np.zeros(x.size)
+        u, _, v = thin_svd(_as_matrix(x))
+        return -(u @ v.T).ravel()
+    x = x.ravel()
     if kind == L2:
-        dual = _l2(flat)
-        return flat / -dual if dual else np.zeros_like(flat)
+        dual = _l2(x)
+        return x / -dual if dual else np.zeros(x.size)
     if kind == L1:
-        d = np.zeros_like(flat)
-        if flat.size:
-            j = int(np.abs(flat).argmax())
-            if flat[j]:
-                d[j] = -np.sign(flat[j])
+        d = np.zeros(x.size)
+        if x.size:
+            j = int(np.abs(x).argmax())
+            if x[j]:
+                d[j] = -np.sign(x[j])
         return d
     # linf: full sign vector, sign(0) = 0
-    return -np.sign(flat) if flat.any() else np.zeros_like(flat)
-
-
-def _unit_block_direction(kind: str, block: np.ndarray) -> np.ndarray:
-    """Unit steepest direction of a single block; zero block maps to zero."""
-    if kind == SPECTRAL:
-        if not block.any():
-            return np.zeros_like(block)
-        u, _, v = thin_svd(_as_matrix(block))
-        return -(u @ v.T).reshape(block.shape)
-    return _unit_flat_direction(kind, block.ravel()).reshape(block.shape)
+    return -np.sign(x) if x.any() else np.zeros(x.size)
 
 
 def unit_steepest_direction(spec: NormSpec, g: ParamVector) -> ParamVector:
@@ -222,20 +216,14 @@ def unit_steepest_direction(spec: NormSpec, g: ParamVector) -> ParamVector:
 
     This is the displacement of the normalized update rules; the raw
     steepest direction is ``dual_norm_value(spec, g)`` times this. Each
-    block's zero test is its own dual norm (or an exact zero check), so no
-    dual norm is taken twice.
+    segment's zero test is its own dual norm (or an exact zero check), so
+    no dual norm is taken twice.
     """
-    blocks = g.trainable_blocks()
-    _check_blocks(spec, blocks)
-    flat = g.trainable_flat()
-    if not np.isfinite(flat).all():
+    if not np.isfinite(g.trainable_flat()).all():
         raise NonFiniteError("steepest direction: gradient has non-finite entries")
-    if spec.kind in _FLAT_KINDS:
-        d = _unit_flat_direction(spec.kind, flat)
-        return (g.like(d) if len(blocks) == g.n_blocks
-                else from_flat(d, [b.shape for b in blocks]))
-    return ParamVector(tuple(_unit_block_direction(k, b)
-                             for k, b in zip(_block_kinds(spec, blocks), blocks)))
+    parts = [_unit_direction(k, x) for k, x in _segments(spec, g)]
+    # one segment's direction is already a new flat array: joining would copy it
+    return g.like(parts[0] if len(parts) == 1 else np.concatenate(parts))
 
 
 def steepest_direction(spec: NormSpec, g: ParamVector) -> ParamVector:
@@ -250,52 +238,39 @@ def steepest_direction(spec: NormSpec, g: ParamVector) -> ParamVector:
     return unit.scaled(dual) if dual != 0.0 else unit
 
 
-def _flat_subgradient(kind: str, x: np.ndarray, value: float) -> np.ndarray:
-    """The fixed subgradient of a flat norm at ``x``, whose norm is ``value``."""
-    if kind == L2:
-        return x / value
-    if kind == L1:
-        return np.sign(x)
-    j = int(np.argmax(np.abs(x)))
-    n = np.zeros_like(x)
-    n[j] = np.sign(x[j])
-    return n
-
-
-def norm_subgradient(spec: NormSpec, theta: ParamVector,
-                     value: float | None = None) -> ParamVector:
-    """A fixed element of the subdifferential of ||.|| at ``theta`` != 0.
+def norm_subgradient(spec: NormSpec, theta: ParamVector) -> ParamVector:
+    """A fixed element of the subdifferential of ||.|| at theta's trainable
+    blocks (not all zero), in their layout.
 
     The selection is deterministic: lowest index on argmax ties, sign(0)=0,
     leading singular pair for spectral blocks. Satisfies
-    <n, theta> = ||theta|| and ||n||* <= 1. ``value`` is ||theta||, when
-    the caller has it.
+    <n, theta> = ||theta|| and ||n||* <= 1.
     """
-    if value is None:
-        value = norm_value(spec, theta)
-    return theta.like(_subgradient(spec, theta.blocks, theta.flat(), value))
+    return theta.like(_subgradient(spec, theta)[1])
 
 
-def _subgradient(spec: NormSpec, blocks: tuple[np.ndarray, ...],
-                 flat: np.ndarray, value: float) -> np.ndarray:
-    """``norm_subgradient`` at the coordinates ``flat``, whose blocks are
-    ``blocks`` and whose norm is ``value``, as a new flat array."""
-    _check_blocks(spec, blocks)
+def _subgradient(spec: NormSpec, theta: ParamVector) -> tuple[float, np.ndarray]:
+    """||theta|| and ``norm_subgradient`` at theta as a new flat array over
+    its trainable prefix: the subgradient of the segment with the largest
+    norm, zero on the others."""
+    segments = _segments(spec, theta)
+    values = [_block_norm(k, x) for k, x in segments]
+    j = values.index(max(values))  # lowest index on ties
+    kind, x = segments[j]
+    value = values[j]
     if value == 0.0:
         raise ZeroVectorError("norm_subgradient is undefined at theta = 0")
-    if spec.kind in _FLAT_KINDS:
-        return _flat_subgradient(spec.kind, flat, value)
-
-    kinds = _block_kinds(spec, blocks)
-    values = [_block_norm(k, b) for k, b in zip(kinds, blocks)]
-    j = int(np.argmax(values))  # lowest index on ties
-    b = blocks[j]
-    if kinds[j] == SPECTRAL:
-        u, _, v = thin_svd(_as_matrix(b))
-        sub = np.outer(u[:, 0], v[:, 0])
+    n = np.zeros(theta.trainable_flat().size)
+    start = sum(other.size for _, other in segments[:j])
+    sub = n[start:start + x.size]
+    if kind == SPECTRAL:
+        u, _, v = thin_svd(_as_matrix(x))
+        sub[:] = np.outer(u[:, 0], v[:, 0]).ravel()
+    elif kind == L2:
+        np.divide(x.ravel(), value, out=sub)
+    elif kind == L1:
+        np.sign(x.ravel(), out=sub)
     else:
-        sub = _flat_subgradient(kinds[j], b.ravel(), values[j])
-    n = np.zeros_like(flat)
-    start = sum(other.size for other in blocks[:j])
-    n[start:start + b.size] = sub.ravel()
-    return n
+        i = int(np.argmax(np.abs(x.ravel())))
+        sub[i] = np.sign(x.ravel()[i])
+    return value, n

@@ -11,7 +11,9 @@ also with a frozen block: the direction and the dual norm read the
 gradient's trainable prefix in place. With the gradient ``evaluate``
 builds, a training step builds three. The gradient is checked for
 non-finite entries once, inside ``unit_steepest_direction``, and the dual
-norm is taken only for the raw step's factor.
+norm is taken only for the raw step's factor. Adam keeps its moments as flat
+arrays over the trainable prefix, so its step builds only the new point
+(and the rescaled gradient ``take_step`` forms from a log scale).
 
 Special cases worth knowing:
   * Adam with beta1 = beta2 = eps = 0 is exactly the normalized sign step
@@ -87,8 +89,8 @@ class OptimizerState:
     """Per-run accumulators; create fresh per run and after a switch."""
 
     t: int = 0
-    adam_m: Optional[ParamVector] = None   # moments of the trainable blocks
-    adam_v: Optional[ParamVector] = None
+    adam_m: Optional[np.ndarray] = None   # moments of the trainable prefix
+    adam_v: Optional[np.ndarray] = None
     shampoo_left: dict = field(default_factory=dict)
     shampoo_right: dict = field(default_factory=dict)
 
@@ -128,19 +130,18 @@ def step_adam(theta: ParamVector, g: ParamVector, state: OptimizerState,
     method = spec.method
     if not isinstance(method, AdamMethod):
         raise TypeError("step_adam requires an Adam method")
-    g_tr = g.trainable_view()
-    m_prev = state.adam_m if state.adam_m is not None else g_tr.zeros_like()
-    v_prev = state.adam_v if state.adam_v is not None else g_tr.zeros_like()
+    gf = g.trainable_flat()
+    m_prev = state.adam_m if state.adam_m is not None else np.zeros(gf.size)
+    v_prev = state.adam_v if state.adam_v is not None else np.zeros(gf.size)
     t = state.t + 1
     b1, b2, eps = method.beta1, method.beta2, method.eps
-    gf = g_tr.flat()
-    m = b1 * m_prev.flat() + (1.0 - b1) * gf
-    v = b2 * v_prev.flat() + (1.0 - b2) * gf * gf
+    m = b1 * m_prev + (1.0 - b1) * gf
+    v = b2 * v_prev + (1.0 - b2) * gf * gf
     m_hat = m / (1.0 - b1**t)
     v_hat = v / (1.0 - b2**t)
     denom = np.sqrt(v_hat) + eps
     upd = np.divide(m_hat, denom, out=np.zeros_like(m_hat), where=denom > 0.0)
-    new_state = OptimizerState(t=t, adam_m=g_tr.like(m), adam_v=g_tr.like(v))
+    new_state = OptimizerState(t=t, adam_m=m, adam_v=v)
     return theta.add_trainable(-eta * upd), new_state
 
 

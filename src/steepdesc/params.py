@@ -8,7 +8,10 @@ returns without a copy (``trainable_blocks()`` and ``trainable_flat()`` give
 its blocks and coordinates without building a vector), and the frozen blocks
 are the tail. ``flat()`` is the buffer and ``from_flat`` wraps its input
 without a copy; ``like`` does the same in an existing vector's layout,
-slicing its block shapes instead of deriving the layout again. Elementwise
+slicing its block shapes instead of deriving the layout again. ``like``,
+``views`` and ``dot_flat`` also take a flat array of the trainable prefix's
+size, in the trainable blocks' layout, so the norm maps and the KKT report
+need no trainable view of a vector with a frozen block. Elementwise
 operations are one numpy call on the buffer and return a new vector;
 ``add_trainable`` adds a flat displacement to the trainable prefix and
 copies the frozen tail, which is how every optimizer step forms the new
@@ -87,22 +90,27 @@ class ParamVector:
         return tuple(b.shape for b in self.blocks)
 
     def views(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The blocks of ``flat``, a 1-D array of ``size`` coordinates, in
-        this vector's layout, as views."""
+        """The blocks of ``flat``, a 1-D array of ``size`` coordinates or of
+        the trainable prefix's, in this vector's layout (of all blocks or of
+        the trainable ones), as views."""
+        blocks = self.blocks
         if flat.size != self.buffer.size:
-            raise ShapeMismatchError(
-                f"flat vector has {flat.size} coordinates, shapes need "
-                f"{self.buffer.size}")
+            blocks = self.trainable_blocks()
+            if flat.size != sum(b.size for b in blocks):
+                raise ShapeMismatchError(f"flat vector has {flat.size} coordinates, "
+                                         f"shapes need {self.buffer.size}")
         views, offset = [], 0
-        for b in self.blocks:
+        for b in blocks:
             views.append(flat[offset:offset + b.size].reshape(b.shape))
             offset += b.size
         return tuple(views)
 
     def like(self, flat: np.ndarray) -> "ParamVector":
-        """This vector's blocks and flags over ``flat``, a 1-D contiguous
-        float64 array of ``size`` coordinates that becomes the buffer."""
-        return ParamVector(self.views(flat), self.trainable, flat)
+        """The blocks and flags of this vector, or of its trainable blocks,
+        over ``flat``, a 1-D contiguous float64 array of ``size`` coordinates
+        or of the trainable prefix's, which becomes the buffer."""
+        views = self.views(flat)
+        return ParamVector(views, self.trainable[:len(views)], flat)
 
     def check_same_structure(self, other: "ParamVector", what: str = "operand") -> None:
         if self.shapes() != other.shapes():
@@ -175,7 +183,8 @@ class ParamVector:
         return self.dot_flat(other.buffer)
 
     def dot_flat(self, flat: np.ndarray) -> float:
-        """<self, v> for v's coordinates ``flat``, reduced block by block."""
+        """<self, v> for v's coordinates ``flat``, reduced block by block;
+        over the trainable blocks when ``flat`` is a trainable prefix."""
         return float(sum(a.ravel().dot(b.ravel())
                          for a, b in zip(self.blocks, self.views(flat))))
 

@@ -73,7 +73,9 @@ class TestTrainCommand:
     @pytest.mark.parametrize("line", ["input_dim = abc", "step_size = -1",
                                       "epochs = 1.5e", "loss = hinge",
                                       "epochs = 1e400", "width = inf",
-                                      "seed = -inf"])
+                                      "seed = -inf", "epochs = 400.5",
+                                      "seed = true",
+                                      TEACHER + "data_seed = true"])
     def test_malformed_value_exits_1(self, tmp_path, toy_dataset, capsys, line):
         cfg, _ = write_config(tmp_path, toy_dataset)
         cfg.write_text(cfg.read_text() + line + "\n")

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from steepdesc import diagnostics, losses, norms
+from steepdesc import norms
 from steepdesc.diagnostics import (bregman_divergence, detect_separation,
                                    kkt_residuals, margin_report,
                                    scale_to_feasible)
 from steepdesc.errors import NotSeparatedError, ZeroVectorError
 from steepdesc.losses import LossSpec, evaluate, output_margins
 from steepdesc.models import ModelSpec, forward_batch
-from steepdesc.norms import NormSpec, dual_norm_value, norm_value
+from steepdesc.norms import NormSpec, dual_norm_value
 from steepdesc.params import ParamVector
 
 
@@ -231,8 +231,9 @@ class TestOneNormPerRow:
         (NormSpec.modular([NormSpec.spectral(), NormSpec.l2()]), False)])
     def test_each_parameter_norm_is_computed_once(self, monkeypatch, algo,
                                                   freeze):
-        """The margin and KKT reports of one logged row take each
-        (norm, vector) pair's norm_value once."""
+        """The margin and KKT reports of one logged row measure each
+        (norm, vector) pair once: every norm, dual norm and subgradient
+        reads its segments through ``norms._segments``."""
         rng = np.random.default_rng(4)
         model = ModelSpec.two_layer_relu(3, 5, freeze_second_layer=freeze)
         theta = ParamVector.of(rng.standard_normal((5, 3)),
@@ -242,17 +243,19 @@ class TestOneNormPerRow:
         data = Points(X, np.sign(forward_batch(model, theta, X)))
         calls = []
 
-        def spy(spec, v):
-            calls.append((spec, v.shapes(), v.flat().tobytes()))
-            return norm_value(spec, v)
+        segments = norms._segments
 
-        for module in (norms, losses, diagnostics):
-            if getattr(module, "norm_value", None) is norm_value:
-                monkeypatch.setattr(module, "norm_value", spy)
+        def spy(spec, v, flat=None):
+            coordinates = v.trainable_flat() if flat is None else flat
+            calls.append((spec, coordinates.tobytes()))
+            return segments(spec, v, flat)
+
+        monkeypatch.setattr(norms, "_segments", spy)
         ev = evaluate(EXP, model, theta, data)
         margin_report(ev, algo)
         kkt_residuals(ev, algo, gamma_tilde_t0=1.0)
-        # l1, l2, linf, spectral and the algorithm norm of theta, and the
-        # algorithm norm of the rescaled theta
-        reported = 5 if algo.kind != "modular_max" else 6
+        # the l1, l2, linf, spectral and algorithm norms of theta, the dual
+        # norm of g_hat, the norm and subgradient of the rescaled theta
+        # (one pass), and the dual norms of s and k
+        reported = 8 if algo.kind != "modular_max" else 9
         assert len(calls) == len(set(calls)) == reported

@@ -5,7 +5,7 @@ Each case is a shipped ``configs/desk_*.cfg`` with a few keys overridden,
 run for 2,000 steps (Shampoo, with its per-step eigendecompositions, for
 400) without a test set and logged every 20 steps. Step sizes are raised
 where the shipped one does not separate that soon, and the frozen-second-layer
-case starts from a larger init for the same reason, so every case has rows
+cases start from a larger init for the same reason, so every case has rows
 past separation and runs the KKT diagnostics. The SHA-256 of
 ``run.csv`` and ``final.ckpt`` is pinned: a refactor that keeps the numbers
 keeps the bytes. The digests are the same under one and two BLAS threads at
@@ -59,6 +59,12 @@ CASES = {
                                 "normalized": True}),
     # the logistic phi_inverse and log-weight branches (separates at step 160)
     "logistic_gd": ("desk_gd", {"loss": "logistic"}),
+    # a per-block norm over the trainable blocks only: spectral steps and
+    # diagnostics with a frozen second layer (separates at step 620)
+    "frozen_spectral": ("desk_gd", {"freeze_second_layer": True,
+                                    "init_scale": 1.0, "norm": "spectral",
+                                    "diagnostics_norms": "spectral",
+                                    "normalized": True, "step_size": 0.1}),
 }
 
 GOLDEN = {
@@ -92,6 +98,9 @@ GOLDEN = {
     "logistic_gd": {
         "run.csv": "c9dcf4ddec626d587c030667a037f4804e745bb6f4c29cc03d794c9da8d68974",
         "final.ckpt": "b93ad5ab69698800368ff586f8f85660d7c541ff6a951c6e56ab132416388ce6"},
+    "frozen_spectral": {
+        "run.csv": "629d149ad1231062abb02faa8b94edb7af6d3495d6abbda004e497fb2a2c824a",
+        "final.ckpt": "422204ca715acf9dffac3132570740a9b88480f09b8b708fe50e88a612bb6408"},
 }
 
 

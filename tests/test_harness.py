@@ -295,6 +295,22 @@ switch_norm = l1
         with pytest.raises(ConfigError, match="input_dim"):
             config_from_values({"epochs": 10})
 
+    @pytest.mark.parametrize("key, value", [
+        ("epochs", 2.9), ("teacher_k", 3.7), ("data_seed", True),
+        ("width", False), ("log_every", 0.5), ("seed", -1.5)])
+    def test_integer_key_rejects_a_fraction_or_a_bool(self, key, value):
+        """A fractional or boolean value of an integer key is an error, not
+        truncated to an int."""
+        with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+            config_from_values({**MINIMAL_VALUES, key: value})
+
+    def test_integer_key_accepts_an_integral_float(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(MINIMAL_CONFIG + "epochs = 1e3\ndata_seed = 7.0\n")
+        config = config_from_values(read_flat_config(path))
+        assert config.epochs == 1000 and type(config.epochs) is int
+        assert config.data.data_seed == 7 and type(config.data.data_seed) is int
+
     def test_bad_line_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("epochs 100\n")
@@ -311,8 +327,9 @@ switch_norm = l1
             toy_config(epochs=10, log_every=20)
 
 
-MINIMAL_CONFIG = ("input_dim = 2\nwidth = 4\nteacher_active = 2\n"
-                  "train_m = 8\nepochs = 100\n")
+MINIMAL_VALUES = {"input_dim": 2, "width": 4, "teacher_active": 2,
+                  "train_m": 8, "epochs": 100}
+MINIMAL_CONFIG = "".join(f"{k} = {v}\n" for k, v in MINIMAL_VALUES.items())
 VALUE = st.one_of(
     st.sampled_from(["inf", "-inf", "nan", "1e400", "-1e400", "0", "-1", "2",
                      "0.5", "true", "false", '"2"', "", "9" * 30, "l2",

@@ -7,9 +7,9 @@ every norm kind, with and without a frozen second layer, under both losses,
 at separated points; and the CSV bytes of rows holding None, bools,
 integers, NaN, infinities, -0.0 and subnormals. A count test pins what one
 post-separation row computes: one KKT product, one SVD, one <theta, g_hat>
-and at most two ParamVector constructions (four with a frozen second layer),
-and that the row does not form the step's gradient, which ``evaluate`` has
-already formed.
+and at most two ParamVector constructions, with or without a frozen second
+layer, and that the row does not form the step's gradient, which
+``evaluate`` has already formed.
 """
 import dataclasses
 import math
@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steepdesc import diagnostics, harness, losses, norms
+from steepdesc import diagnostics, harness, losses
 from steepdesc.diagnostics import kkt_residuals, margin_report
 from steepdesc.errors import ZeroVectorError
 from steepdesc.harness import (CSV_COLUMNS, LogRow, RunLog, config_from_values,
@@ -39,7 +39,29 @@ FLAT = ("l1", "l2", "linf")
 DUAL = {"l1": "linf", "l2": "l2", "linf": "l1", "spectral": "nuclear"}
 
 
-# --- references: the row as block vectors, before it moved to flat buffers
+# --- references: the row as block vectors, before it moved to flat buffers;
+# they call no steepdesc.norms code, so they share none with what they check
+
+def ref_as_matrix(block):
+    return block.reshape(-1, 1) if block.ndim == 1 else block
+
+
+def ref_block_kinds(spec, blocks):
+    if spec.kind == "spectral":
+        return ["spectral"] * len(blocks)
+    return [b.kind for b in spec.block_norms]
+
+
+def ref_flat_subgradient(kind, x, value):
+    if kind == "l2":
+        return x / value
+    if kind == "l1":
+        return np.sign(x)
+    j = int(np.argmax(np.abs(x)))
+    n = np.zeros_like(x)
+    n[j] = np.sign(x[j])
+    return n
+
 
 def ref_block_norm(kind, block):
     if kind in FLAT:
@@ -49,7 +71,7 @@ def ref_block_norm(kind, block):
         if kind == "l2":
             return math.sqrt(x.dot(x))
         return float(np.abs(x).max()) if x.size else 0.0
-    m = norms._as_matrix(block)
+    m = ref_as_matrix(block)
     if m.size == 0 or not m.any():
         return 0.0
     if m.shape[1] == 1:
@@ -62,7 +84,7 @@ def ref_norm_value(spec, v):
     if spec.kind in FLAT:
         return ref_block_norm(spec.kind, v.flat())
     return max(ref_block_norm(k, b)
-               for k, b in zip(norms._block_kinds(spec, v.blocks), v.blocks))
+               for k, b in zip(ref_block_kinds(spec, v.blocks), v.blocks))
 
 
 def ref_dual_norm_value(spec, g):
@@ -70,21 +92,21 @@ def ref_dual_norm_value(spec, g):
     if spec.kind in FLAT:
         return ref_block_norm(DUAL[spec.kind], g.trainable_flat())
     return float(sum(ref_block_norm(DUAL[k], b)
-                     for k, b in zip(norms._block_kinds(spec, blocks), blocks)))
+                     for k, b in zip(ref_block_kinds(spec, blocks), blocks)))
 
 
 def ref_norm_subgradient(spec, theta, value):
     if spec.kind in FLAT:
-        return theta.like(norms._flat_subgradient(spec.kind, theta.flat(), value))
-    kinds = norms._block_kinds(spec, theta.blocks)
+        return theta.like(ref_flat_subgradient(spec.kind, theta.flat(), value))
+    kinds = ref_block_kinds(spec, theta.blocks)
     values = [ref_block_norm(k, b) for k, b in zip(kinds, theta.blocks)]
     j = int(np.argmax(values))
     b = theta.blocks[j]
     if kinds[j] == "spectral":
-        u, _, v = norms.thin_svd(norms._as_matrix(b))
-        sub = np.outer(u[:, 0], v[:, 0]).reshape(b.shape)
+        u, _, vt = np.linalg.svd(ref_as_matrix(b), full_matrices=False)
+        sub = np.outer(u[:, 0], vt[0]).reshape(b.shape)
     else:
-        sub = norms._flat_subgradient(kinds[j], b.ravel(), values[j]).reshape(b.shape)
+        sub = ref_flat_subgradient(kinds[j], b.ravel(), values[j]).reshape(b.shape)
     blocks = [np.zeros_like(other) for other in theta.blocks]
     blocks[j] = sub
     return ParamVector(tuple(blocks), theta.trainable)
@@ -320,13 +342,14 @@ def test_csv_bytes_match_on_any_fields(tmp_path_factory, rows):
 
 # --- what one row computes
 
-@pytest.mark.parametrize("freeze, vectors", [(False, 2), (True, 4)])
+@pytest.mark.parametrize("freeze, vectors", [(False, 2), (True, 2)])
 def test_one_row_computes_each_quantity_once(monkeypatch, freeze, vectors):
     """One post-separation row under the l2 algorithm norm: one KKT product,
     one SVD (the reported spectral norm), one <theta, g_hat> and at most two
-    ParamVectors (theta~ and the product). A frozen second layer adds two
-    trainable views: theta~'s and the Evaluation's of theta. The step's
-    gradient is formed by ``evaluate``, before the count starts."""
+    ParamVectors (theta~ and the product), also with a frozen second layer:
+    the norm maps, ``views`` and ``dot_flat`` read the trainable prefix in
+    place. The step's gradient is formed by ``evaluate``, before the count
+    starts."""
     model, theta, data = random_point(1, freeze, 1.0)
     algo = NormSpec.l2()
     ev = evaluate(EXP, model, theta, data)

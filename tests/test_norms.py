@@ -225,19 +225,19 @@ class TestPairingProperties:
         d = steepest_direction(spec, g)
         assert d.dot(g.trainable_view()) == pytest.approx(-dual * dual, rel=1e-9)
         assert norm_value(spec, d) == pytest.approx(dual, rel=1e-9)
-        assert norms._dual(spec, g.trainable_blocks(), g.trainable_flat()) == dual
+        assert norms._dual(spec, g) == norms._dual(spec, g, g.trainable_flat()) == dual
 
     @settings(max_examples=300, deadline=None)
     @given(specs_and_vectors())
     def test_norm_subgradient_pairs_with_the_norm(self, case):
         spec, theta = case
-        tv = theta.trainable_view()
-        value = norm_value(spec, tv)
+        value = norm_value(spec, theta)
         assume(value > 1e-6)
-        n = norm_subgradient(spec, tv)
-        assert n.dot(tv) == pytest.approx(value, rel=1e-9)
+        n = norm_subgradient(spec, theta)
+        assert theta.dot_flat(n.flat()) == pytest.approx(value, rel=1e-9)
         assert dual_norm_value(spec, n) <= 1.0 + 1e-12
-        flat = norms._subgradient(spec, tv.blocks, tv.flat(), value)
+        flat_value, flat = norms._subgradient(spec, theta)
+        assert flat_value == value
         assert flat.tobytes() == n.flat().tobytes()
 
 

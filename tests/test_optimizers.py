@@ -7,8 +7,9 @@ from steepdesc.errors import NonFiniteError
 from steepdesc.losses import (LossSpec, evaluate, log_loss, loss_subgradient,
                               output_margins)
 from steepdesc.models import ModelSpec
-from steepdesc.norms import (NormSpec, dual_norm_value, steepest_direction,
-                             thin_svd, unit_steepest_direction)
+from steepdesc.norms import (NormSpec, dual_norm_value, norm_subgradient,
+                             norm_value, steepest_direction, thin_svd,
+                             unit_steepest_direction)
 from steepdesc.optimizers import (AdamMethod, OptimizerSpec, OptimizerState,
                                   ShampooMethod, SteepestMethod, apply_switch,
                                   step_adam, step_shampoo, step_steepest,
@@ -138,9 +139,9 @@ class TestLeanSteepestStep:
 
     @pytest.mark.parametrize("norm", NORMS, ids=NORM_IDS)
     def test_gradient_maps_read_the_trainable_prefix(self, norm):
-        """The dual norm and the unit direction of a gradient with a frozen
-        block are those of its trainable view, bit for bit; the frozen
-        block, even when non-zero, is not read."""
+        """Every norm map of a vector with a frozen block (the norm, its
+        dual, the unit direction and the norm subgradient) gives that of its
+        trainable view, bit for bit; the frozen block, NaN here, is not read."""
         if norm.kind == "modular_max":
             norm = NormSpec.modular([NormSpec.spectral()])
         theta, ev = frozen_or_not(True)
@@ -149,9 +150,11 @@ class TestLeanSteepestStep:
         g = theta.like(flat)
         g_tr = g.trainable_view()
         assert dual_norm_value(norm, g) == dual_norm_value(norm, g_tr)
-        unit, ref = unit_steepest_direction(norm, g), unit_steepest_direction(norm, g_tr)
-        assert unit.shapes() == ref.shapes() and all(unit.trainable)
-        assert unit.flat().tobytes() == ref.flat().tobytes()
+        assert norm_value(norm, g) == norm_value(norm, g_tr)
+        for fn in (unit_steepest_direction, norm_subgradient):
+            out, ref = fn(norm, g), fn(norm, g_tr)
+            assert out.shapes() == ref.shapes() and all(out.trainable)
+            assert out.flat().tobytes() == ref.flat().tobytes()
 
     @pytest.mark.parametrize("freeze", [False, True],
                              ids=["all trainable", "frozen second layer"])
@@ -212,8 +215,25 @@ class TestAdam:
         g = ParamVector.of(np.array([1.0, 0.0]))
         spec = OptimizerSpec(AdamMethod(0.9, 0.999, 0.0), step_size=1.0)
         _, state = step_adam(theta, g, OptimizerState.fresh(), spec, 1.0)
-        m_hat = state.adam_m.blocks[0] / (1.0 - 0.9)
+        m_hat = state.adam_m / (1.0 - 0.9)
         np.testing.assert_allclose(m_hat, [1.0, 0.0])
+
+    @pytest.mark.parametrize("freeze", [False, True],
+                             ids=["all trainable", "frozen second layer"])
+    def test_vectors_built_per_step(self, monkeypatch, freeze):
+        """The moments are flat arrays over the trainable prefix, so an Adam
+        step builds the rescaled gradient and the new point, and its state
+        holds no vector."""
+        theta, ev = frozen_or_not(freeze)
+        g, log_scale = ev.subgradient
+        spec = OptimizerSpec(AdamMethod(), step_size=0.1)
+        count = counted_constructions(monkeypatch)
+        state = OptimizerState.fresh()
+        for _ in range(2):      # from zero moments, then from stored ones
+            before = count[0]
+            _, state = take_step(theta, g, state, spec, log_scale)
+            assert count[0] - before <= 2
+        assert state.adam_m.shape == state.adam_v.shape == g.trainable_flat().shape
 
     def test_large_eps_limit(self):
         theta = ParamVector.of(np.zeros(2))
