@@ -184,10 +184,12 @@ def evaluate(loss: LossSpec, model: ModelSpec, theta: ParamVector, data,
     q = output_margins(model, theta, data, hidden)
     logw = log_weights(loss, q)
     scale = float(logw.max())
-    coeffs = -data.y * np.exp(logw - scale)
-    g_hat = hidden_subgradient_sum(model, theta, data.X, coeffs, hidden)
-    return Evaluation(loss, model, theta, data, q, logw, log_loss(loss, q),
-                      (g_hat, scale))
+    weights = np.exp(logw - scale)
+    g_hat = hidden_subgradient_sum(model, theta, data.X, -data.y * weights, hidden)
+    # the exponential loss's log_terms(q) is logw, so log_loss sums these weights
+    value = (scale + float(np.log(weights.sum()))
+             if loss.kind == EXPONENTIAL and math.isfinite(scale) else log_loss(loss, q))
+    return Evaluation(loss, model, theta, data, q, logw, value, (g_hat, scale))
 
 
 def loss_subgradient(loss: LossSpec, model: ModelSpec, theta: ParamVector,

@@ -24,12 +24,13 @@ import json
 import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, ShapeMismatchError
-from .params import ParamVector, from_flat
+from .params import Layout, ParamVector, from_flat
 from .rng import Xoshiro256pp
 
 LINEAR = "linear"
@@ -59,10 +60,15 @@ class ModelSpec:
 
     @property
     def homogeneity_degree(self) -> int:
-        """Degree L of f(x; c*theta) = c^L f(x; theta)."""
-        if self.kind == LINEAR:
-            return 1
-        return 1 if self.freeze_second_layer else 2
+        """Degree L of f(x; c*theta) = c^L f(x; theta): its trainable layers."""
+        return self.layout.n_trainable
+
+    @cached_property
+    def layout(self) -> Layout:
+        """The parameters' block layout, as ``init_params`` builds it."""
+        shapes = ([(self.input_dim,)] if self.kind == LINEAR
+                  else [(self.width, self.input_dim), (self.width,)])
+        return Layout.of(shapes, (True, not self.freeze_second_layer)[:len(shapes)])
 
     @classmethod
     def linear(cls, input_dim: int) -> "ModelSpec":
@@ -88,14 +94,9 @@ class InitSpec:
 
 
 def _check_params(model: ModelSpec, theta: ParamVector) -> None:
-    if model.kind == LINEAR:
-        expected = ((model.input_dim,),)
-    else:
-        expected = ((model.width, model.input_dim), (model.width,))
-    if theta.shapes() != expected:
-        raise ShapeMismatchError(
-            f"{model.kind} expects block shapes {expected}, got {theta.shapes()}"
-        )
+    if theta.layout.shapes != model.layout.shapes:
+        raise ShapeMismatchError(f"{model.kind} expects block shapes "
+                                 f"{model.layout.shapes}, got {theta.shapes()}")
 
 
 def forward(model: ModelSpec, theta: ParamVector, x: np.ndarray) -> float:
@@ -225,8 +226,7 @@ def init_params(model: ModelSpec, init: InitSpec) -> ParamVector:
     us = Xoshiro256pp(init.seed).uniforms(k * d + k)
     w = -w_half + (2.0 * w_half) * us[:k * d].reshape(k, d)
     u = -u_half + (2.0 * u_half) * us[k * d:]
-    trainable = (True, not model.freeze_second_layer)
-    return ParamVector((w, u), trainable)
+    return ParamVector((w, u), model.layout.trainable)
 
 
 def save_checkpoint(path, model: ModelSpec, theta: ParamVector) -> None:
@@ -267,11 +267,15 @@ def load_checkpoint(path) -> tuple[ModelSpec, ParamVector]:
         m = header["model"]
         model = ModelSpec(m["kind"], m["input_dim"], m["width"], m["freeze_second_layer"])
         flat = np.frombuffer(data[12 + blob_len:], dtype="<f8").astype(np.float64)
-        shapes = [tuple(s) for s in header["block_shapes"]]
-        theta = from_flat(flat, shapes, header["trainable"])
-        _check_params(model, theta)
+        theta = from_flat(flat, header["block_shapes"], header["trainable"])
+        found = (theta.layout, header["homogeneity_degree"])
+        expected = (model.layout, model.homogeneity_degree)   # as init_params builds
     except (ValueError, KeyError, TypeError) as exc:
         raise DataFormatError(f"{path}: malformed checkpoint: {exc}") from exc
+    if found != expected:
+        raise DataFormatError(f"{path}: header shapes, flags, degree {theta.shapes()}, "
+                              f"{theta.trainable}, {found[1]}; a {model.kind} model's are "
+                              f"{model.layout.shapes}, {model.layout.trainable}, {expected[1]}")
     if not theta.allfinite():
         raise DataFormatError(f"{path}: checkpoint has non-finite coordinates")
     return model, theta

@@ -38,6 +38,8 @@ from .params import ParamVector
 def _exp_saturating(x: float) -> float:
     """exp that overflows to inf instead of raising; the caller's
     finiteness checks turn the overflow into a divergence diagnostic."""
+    if x < 709.0:                 # exp(709) < DBL_MAX: no overflow to silence
+        return float(np.exp(x))
     with np.errstate(over="ignore"):
         return float(np.exp(x))
 

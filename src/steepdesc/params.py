@@ -1,190 +1,177 @@
-"""Block-structured parameter container over one contiguous buffer.
+"""Block-structured parameter container: an interned layout over one buffer.
 
-A parameter vector keeps its coordinates in one contiguous float64 buffer,
-block after block (C order within a block); its blocks, matrices or vectors,
-are reshaped views of it. The trainable blocks come first, so the
-optimization variables are a leading slice, which ``trainable_view()``
-returns without a copy (``trainable_blocks()`` and ``trainable_flat()`` give
-its blocks and coordinates without building a vector), and the frozen blocks
-are the tail. ``flat()`` is the buffer and ``from_flat`` wraps its input
-without a copy; ``like`` does the same in an existing vector's layout,
-slicing its block shapes instead of deriving the layout again. ``like``,
-``views`` and ``dot_flat`` also take a flat array of the trainable prefix's
-size, in the trainable blocks' layout, so the norm maps and the KKT report
-need no trainable view of a vector with a frozen block. Elementwise
-operations are one numpy call on the buffer and return a new vector;
-``add_trainable`` adds a flat displacement to the trainable prefix and
-copies the frozen tail, which is how every optimizer step forms the new
-point. ``dot`` and ``allclose`` reduce block by block. Only the function
-that builds a vector fills its buffer in; once returned, a vector is never
-written.
+A ``ParamVector`` is (layout, buffer): one contiguous float64 buffer holds
+its coordinates block after block (C order within a block), and its blocks
+are views of it, built on first read from the ``Layout``'s slices. Layouts
+are interned by (shapes, trainable flags) and checked once, when first
+built, so a run's vectors share one and the same-structure test is ``is``.
+Trainable blocks come first: the optimization variables are a leading slice
+and the frozen blocks the tail. ``like``, ``views`` and ``dot_flat`` take a
+flat array of the full or of the trainable prefix's size. Operations return
+a new vector; once returned, a vector is never written. ``__post_init__``
+runs once per vector built, however it is built.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import ShapeMismatchError
 
-
-def _views(buffer: np.ndarray, shapes) -> tuple[np.ndarray, ...]:
-    shapes = tuple(shapes)
-    sizes = [math.prod(shape) for shape in shapes]
-    if sum(sizes) != buffer.size:
-        raise ShapeMismatchError(
-            f"flat vector has {buffer.size} coordinates, shapes need {sum(sizes)}"
-        )
-    views, offset = [], 0
-    for shape, n in zip(shapes, sizes):
-        views.append(buffer[offset:offset + n].reshape(shape))
-        offset += n
-    return tuple(views)
+_LAYOUTS: dict = {}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
+class Layout:
+    """Block shapes, flags and (start, stop, shape) slices, the size, and the
+    trainable prefix's block count, size and own layout (or this one)."""
+
+    shapes: tuple
+    trainable: tuple
+    slices: tuple
+    size: int
+    n_trainable: int
+    prefix_size: int
+    prefix: Optional["Layout"]
+
+    @staticmethod
+    def of(shapes: Iterable, trainable: Optional[Sequence[bool]] = None) -> "Layout":
+        shapes = tuple(tuple(map(operator.index, s)) for s in shapes)
+        trainable = tuple(trainable or ()) or (True,) * len(shapes)
+        booleans = all(type(t) is bool for t in trainable)   # before the lookup: 1 == True
+        if booleans and (shapes, trainable) in _LAYOUTS:
+            return _LAYOUTS[shapes, trainable]
+        n = trainable.count(True)
+        if (not booleans or len(trainable) != len(shapes) or not all(trainable[:n])
+                or min((k for s in shapes for k in s), default=0) < 0):
+            raise ShapeMismatchError(f"flags {trainable} for shapes {shapes}: one boolean per "
+                                     f"block, trainable blocks must come first, no size < 0")
+        stops = list(accumulate((math.prod(s) for s in shapes), initial=0))
+        layout = Layout(shapes, trainable, tuple(zip(stops, stops[1:], shapes)),
+                        stops[-1], n, stops[n], None)
+        object.__setattr__(layout, "prefix",
+                           Layout.of(shapes[:n]) if n < len(shapes) else layout)
+        _LAYOUTS[shapes, trainable] = layout
+        return layout
+
+    __reduce__ = lambda self: (Layout.of, (self.shapes, self.trainable))  # copies re-intern
+
+    def views(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The blocks of ``flat`` in this layout, or in its prefix's."""
+        layout = self if flat.size == self.size else self.prefix
+        if flat.size != layout.size:
+            raise ShapeMismatchError(f"{flat.size} coordinates, shapes need {self.size}")
+        return tuple([flat[start:stop].reshape(shape) for start, stop, shape in layout.slices])
+
+
 class ParamVector:
-    """Blocks viewing one float64 buffer, with per-block trainability flags
-    (trainable blocks first). Built from arrays, the blocks are copied into
-    a new buffer; ``buffer``, when given, is the one the blocks already
-    view, as ``from_flat`` builds them."""
+    """A layout over a float64 buffer: a copy of ``blocks``, or ``buffer``."""
 
-    blocks: tuple[np.ndarray, ...]
-    trainable: tuple[bool, ...] = field(default=())
-    buffer: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    __slots__ = ("layout", "buffer", "_blocks")
+
+    def __init__(self, blocks: Iterable, trainable: Sequence[bool] = (),
+                 buffer: Optional[np.ndarray] = None):
+        if buffer is None:
+            blocks = [np.asarray(b, dtype=np.float64) for b in blocks]
+            buffer = np.concatenate([a.ravel() for a in blocks] + [np.zeros(0)])
+        self.layout = Layout.of([b.shape for b in blocks], trainable)
+        self.buffer, self._blocks = buffer, None
+        self.__post_init__()
 
     def __post_init__(self):
-        if self.buffer is None:
-            arrays = [np.asarray(b, dtype=np.float64) for b in self.blocks]
-            buffer = (np.concatenate([a.ravel() for a in arrays]) if arrays
-                      else np.zeros(0))
-            object.__setattr__(self, "buffer", buffer)
-            object.__setattr__(self, "blocks",
-                               _views(buffer, [a.shape for a in arrays]))
-        trainable = tuple(self.trainable) or (True,) * len(self.blocks)
-        if len(trainable) != len(self.blocks):
-            raise ShapeMismatchError(
-                f"trainable flags ({len(trainable)}) do not match "
-                f"block count ({len(self.blocks)})"
-            )
-        if not all(trainable[:trainable.count(True)]):
-            raise ShapeMismatchError(
-                f"trainable blocks must come first, got flags {trainable}")
-        object.__setattr__(self, "trainable", trainable)
+        if self.buffer.size != self.layout.size:
+            raise ShapeMismatchError(f"{self.buffer.size} coordinates, "
+                                     f"shapes need {self.layout.size}")
 
     @classmethod
     def of(cls, *arrays, trainable: Sequence[bool] | None = None) -> "ParamVector":
         return cls(arrays, tuple(trainable or ()))
 
     @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        if self._blocks is None:
+            self._blocks = self.layout.views(self.buffer)
+        return self._blocks
 
-    @property
-    def size(self) -> int:
-        return self.buffer.size
+    trainable = property(lambda self: self.layout.trainable)
+    size = property(lambda self: self.layout.size)
+    n_blocks = property(lambda self: len(self.layout.shapes))
+    views = property(lambda self: self.layout.views)
 
     def shapes(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(b.shape for b in self.blocks)
-
-    def views(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The blocks of ``flat``, a 1-D array of ``size`` coordinates or of
-        the trainable prefix's, in this vector's layout (of all blocks or of
-        the trainable ones), as views."""
-        blocks = self.blocks
-        if flat.size != self.buffer.size:
-            blocks = self.trainable_blocks()
-            if flat.size != sum(b.size for b in blocks):
-                raise ShapeMismatchError(f"flat vector has {flat.size} coordinates, "
-                                         f"shapes need {self.buffer.size}")
-        views, offset = [], 0
-        for b in blocks:
-            views.append(flat[offset:offset + b.size].reshape(b.shape))
-            offset += b.size
-        return tuple(views)
+        return self.layout.shapes
 
     def like(self, flat: np.ndarray) -> "ParamVector":
-        """The blocks and flags of this vector, or of its trainable blocks,
-        over ``flat``, a 1-D contiguous float64 array of ``size`` coordinates
-        or of the trainable prefix's, which becomes the buffer."""
-        views = self.views(flat)
-        return ParamVector(views, self.trainable[:len(views)], flat)
+        """This layout, or its prefix's, over the 1-D float64 buffer ``flat``."""
+        layout = self.layout
+        return _vector(layout if flat.size == layout.size else layout.prefix, flat)
 
     def check_same_structure(self, other: "ParamVector", what: str = "operand") -> None:
-        if self.shapes() != other.shapes():
-            raise ShapeMismatchError(
-                f"{what}: block shapes {other.shapes()}, expected {self.shapes()}")
+        if self.layout is not other.layout:
+            raise ShapeMismatchError(f"{what}: layout {other.shapes()} {other.trainable}, "
+                                     f"expected {self.shapes()} {self.trainable}")
 
     def flat(self) -> np.ndarray:
         """All coordinates in block order (C order per block): the buffer."""
         return self.buffer
 
     def trainable_blocks(self) -> tuple[np.ndarray, ...]:
-        """The trainable blocks, the leading ones."""
-        return self.blocks[:self.trainable.count(True)]
+        return self.blocks[:self.layout.n_trainable]
 
     def trainable_flat(self) -> np.ndarray:
         """The trainable blocks' coordinates: a prefix view of the buffer."""
-        kept = self.trainable_blocks()
-        if len(kept) == len(self.blocks):
-            return self.buffer
-        return self.buffer[:sum(b.size for b in kept)]
+        layout = self.layout
+        return self.buffer if layout.prefix is layout else self.buffer[:layout.prefix_size]
 
     def trainable_view(self) -> "ParamVector":
-        """The optimization variables: the trainable blocks, a prefix view."""
-        if all(self.trainable):
-            return self
-        return ParamVector(self.trainable_blocks(), (), self.trainable_flat())
+        prefix = self.layout.prefix
+        return self if prefix is self.layout else _vector(prefix, self.trainable_flat())
 
     def add_trainable(self, delta: np.ndarray) -> "ParamVector":
-        """This vector with the flat displacement ``delta`` added to its
-        trainable prefix; the frozen tail is copied, so it never moves."""
-        head = self.trainable_flat()
-        if delta.shape != head.shape:
-            raise ShapeMismatchError(
-                f"add_trainable: got shape {delta.shape}, expected {head.shape}")
-        if head.size == self.buffer.size:
-            return self.like(self.buffer + delta)
-        return self.like(np.concatenate((head + delta, self.buffer[head.size:])))
+        """``delta`` added to the trainable prefix; the frozen tail is copied."""
+        layout, buffer, n = self.layout, self.buffer, self.layout.prefix_size
+        if delta.shape != (n,):
+            raise ShapeMismatchError(f"add_trainable: got shape {delta.shape}, expected {(n,)}")
+        if layout.prefix is layout:
+            return _vector(layout, buffer + delta)
+        return _vector(layout, np.concatenate((buffer[:n] + delta, buffer[n:])))
 
     def copy(self) -> "ParamVector":
-        return self.like(self.buffer.copy())
+        return _vector(self.layout, self.buffer.copy())
 
     def zeros_like(self) -> "ParamVector":
-        return self.like(np.zeros(self.size))
+        return _vector(self.layout, np.zeros(self.layout.size))
 
     def __add__(self, other: "ParamVector") -> "ParamVector":
         self.check_same_structure(other)
-        return self.like(self.buffer + other.buffer)
+        return _vector(self.layout, self.buffer + other.buffer)
 
     def __sub__(self, other: "ParamVector") -> "ParamVector":
         self.check_same_structure(other)
-        return self.like(self.buffer - other.buffer)
+        return _vector(self.layout, self.buffer - other.buffer)
 
     def scaled(self, c: float) -> "ParamVector":
         """Every block multiplied by ``c`` (plain vector scaling)."""
-        return self.like(c * self.buffer)
+        return _vector(self.layout, c * self.buffer)
 
     def scaled_trainable(self, c: float) -> "ParamVector":
-        """Trainable blocks multiplied by ``c``; frozen blocks untouched.
-
-        This is the scaling under which the homogeneity identity
-        f(x; c*theta) = c^L f(x; theta) is stated.
-        """
-        head = self.trainable_flat()
+        """Trainable blocks times ``c``: f(x; c*theta) = c^L f(x; theta)."""
+        n = self.layout.prefix_size
         out = self.buffer.copy()
-        np.multiply(head, c, out=out[:head.size])
-        return self.like(out)
+        np.multiply(self.buffer[:n], c, out=out[:n])
+        return _vector(self.layout, out)
 
     def dot(self, other: "ParamVector") -> float:
         self.check_same_structure(other)
         return self.dot_flat(other.buffer)
 
     def dot_flat(self, flat: np.ndarray) -> float:
-        """<self, v> for v's coordinates ``flat``, reduced block by block;
-        over the trainable blocks when ``flat`` is a trainable prefix."""
+        """<self, v> for v's full or trainable ``flat``, block by block."""
         return float(sum(a.ravel().dot(b.ravel())
                          for a, b in zip(self.blocks, self.views(flat))))
 
@@ -194,13 +181,18 @@ class ParamVector:
     def allclose(self, other: "ParamVector", rtol: float = 1e-12, atol: float = 0.0) -> bool:
         return self.shapes() == other.shapes() and all(
             np.allclose(a, b, rtol=rtol, atol=atol)
-            for a, b in zip(self.blocks, other.blocks)
-        )
+            for a, b in zip(self.blocks, other.blocks))
+
+
+def _vector(layout: Layout, buffer: np.ndarray) -> ParamVector:
+    v = object.__new__(ParamVector)
+    v.layout, v.buffer, v._blocks = layout, buffer, None
+    v.__post_init__()
+    return v
 
 
 def from_flat(flat: np.ndarray, shapes: Iterable[tuple[int, ...]],
               trainable: Sequence[bool] | None = None) -> ParamVector:
-    """A ParamVector over flat coordinates and block shapes; a contiguous
-    float64 ``flat`` becomes its buffer without a copy."""
+    """A vector over ``flat``, its buffer if contiguous float64, no copy."""
     flat = np.ascontiguousarray(flat, dtype=np.float64).reshape(-1)
-    return ParamVector(_views(flat, shapes), tuple(trainable or ()), flat)
+    return _vector(Layout.of(shapes, trainable), flat)

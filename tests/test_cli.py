@@ -294,6 +294,25 @@ class TestDiagnoseCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "(m, 16)" in err, err
 
+    @pytest.mark.parametrize("flags", [b"[true, false]", b"[1, 0]", b'"ab"'],
+                             ids=["a frozen u", "integer flags", "a string"])
+    def test_flags_contradicting_the_model_exit_1(self, tmp_path, toy_dataset,
+                                                   capsys, flags):
+        model = ModelSpec.two_layer_relu(2, 8)
+        ckpt = tmp_path / "theta.ckpt"
+        save_checkpoint(ckpt, model, init_params(model, InitSpec(0.05, seed=3)))
+        blob = ckpt.read_bytes()
+        n, = struct.unpack("<I", blob[8:12])
+        header = blob[12:12 + n].replace(b'"trainable": [true, true]',
+                                         b'"trainable": ' + flags)
+        assert header != blob[12:12 + n]
+        ckpt.write_bytes(blob[:8] + struct.pack("<I", len(header)) + header
+                         + blob[12 + n:])
+        code = cli_main(["diagnose", "--checkpoint", str(ckpt),
+                         "--data", str(toy_dataset)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {ckpt}: ")
+
     def test_frozen_block_before_a_trainable_one_exits_1(self, tmp_path,
                                                          toy_dataset, capsys):
         model = ModelSpec.two_layer_relu(2, 8, freeze_second_layer=True)

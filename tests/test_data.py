@@ -1,5 +1,7 @@
 import math
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,6 +293,70 @@ class TestPersistence:
         path.write_bytes(b"WXYZ" + b"\x00" * 40)
         with pytest.raises(DataFormatError, match="magic"):
             load_dataset(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 4), st.data())
+    def test_round_trip_of_any_dataset_is_bit_exact(self, m, d, data):
+        X = np.array(data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                        min_size=m * d, max_size=m * d))).reshape(m, d)
+        y = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                                        min_size=m, max_size=m)))
+        meta = data.draw(st.dictionaries(st.text(max_size=5),
+                                         st.one_of(st.integers(), st.text(max_size=5)),
+                                         max_size=3))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.stpd"
+            save_dataset(Dataset(X, y, meta), path)
+            back = load_dataset(path)
+        assert back.X.tobytes() == X.tobytes() and back.y.tobytes() == y.tobytes()
+        assert back.meta == meta
+
+    def test_every_truncation_is_a_data_format_error(self, tmp_path):
+        path = tmp_path / "data.stpd"
+        save_dataset(self.make_dataset(), path)
+        blob = path.read_bytes()
+        for n in range(len(blob)):
+            path.write_bytes(blob[:n])
+            with pytest.raises(DataFormatError):
+                load_dataset(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_a_corrupted_header_loads_the_same_arrays_or_is_a_data_format_error(
+            self, data):
+        """Only the metadata has no check: a corrupted header either fails
+        typed or loads the stored X and y."""
+        ds = self.make_dataset()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.stpd"
+            save_dataset(ds, path)
+            raw = bytearray(path.read_bytes())
+            meta_len, = struct.unpack_from("<I", raw, 24)
+            for pos in data.draw(st.lists(st.integers(0, 28 + meta_len - 1),
+                                          min_size=1, max_size=3)):
+                raw[pos] = data.draw(st.integers(0, 255))
+            self.check_header_corruption(path, bytes(raw), ds)
+
+    def test_every_header_bit_flip_loads_the_same_arrays_or_is_a_data_format_error(
+            self, tmp_path):
+        ds = self.make_dataset()
+        path = tmp_path / "data.stpd"
+        save_dataset(ds, path)
+        blob = path.read_bytes()
+        meta_len, = struct.unpack_from("<I", blob, 24)
+        for pos in range(28 + meta_len):
+            for bit in range(8):
+                self.check_header_corruption(
+                    path, blob[:pos] + bytes([blob[pos] ^ 1 << bit]) + blob[pos + 1:], ds)
+
+    @staticmethod
+    def check_header_corruption(path, raw, ds):
+        path.write_bytes(raw)
+        try:
+            back = load_dataset(path)
+        except DataFormatError:
+            return
+        assert back.X.tobytes() == ds.X.tobytes() and back.y.tobytes() == ds.y.tobytes()
 
     def test_csv_export_row_count(self, tmp_path):
         ds = self.make_dataset()

@@ -1,3 +1,5 @@
+import json
+import struct
 import tempfile
 from pathlib import Path
 
@@ -189,6 +191,31 @@ def _small_checkpoint(path) -> bytes:
     return path.read_bytes()
 
 
+def with_header(blob: bytes, **changes) -> bytes:
+    """A checkpoint's bytes with header keys replaced and its length fixed."""
+    n, = struct.unpack("<I", blob[8:12])
+    header = json.dumps(dict(json.loads(blob[12:12 + n]), **changes)).encode()
+    return blob[:8] + struct.pack("<I", len(header)) + header + blob[12 + n:]
+
+
+MODELS = st.one_of(
+    st.builds(ModelSpec.linear, st.integers(1, 5)),
+    st.builds(ModelSpec.two_layer_relu, st.integers(1, 5), st.integers(1, 5),
+              st.booleans()))
+
+
+def _check_header_corruption(path, raw, model, theta):
+    """A checkpoint ``raw`` with a corrupted header is a ``DataFormatError``
+    or loads ``model`` and ``theta`` exactly."""
+    path.write_bytes(raw)
+    try:
+        model2, theta2 = load_checkpoint(path)
+    except DataFormatError:
+        return
+    assert model2 == model and theta2.layout is theta.layout
+    assert theta2.flat().tobytes() == theta.flat().tobytes()
+
+
 def _check_corrupted_load(path, blob, pos, flip):
     """``blob`` with byte ``pos`` XORed by ``flip`` either loads finite
     coordinates in the saved shapes or is a ``DataFormatError``."""
@@ -237,6 +264,60 @@ class TestCheckpoint:
             _check_corrupted_load(path, blob,
                                   data.draw(st.integers(0, len(blob) - 1)),
                                   data.draw(st.integers(1, 255)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(MODELS, st.integers(0, 2**64 - 1), st.floats(1e-3, 1e3))
+    def test_round_trip_keeps_the_model_layout_and_bits(self, model, seed, scale):
+        theta = init_params(model, InitSpec(scale, seed=seed))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.ckpt"
+            save_checkpoint(path, model, theta)
+            model2, theta2 = load_checkpoint(path)
+        assert model2 == model
+        assert theta2.layout is theta.layout is model.layout
+        assert theta2.flat().tobytes() == theta.flat().tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_a_corrupted_header_loads_the_same_point_or_is_a_data_format_error(
+            self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.ckpt"
+            blob = _small_checkpoint(path)
+            model, theta = load_checkpoint(path)
+            n, = struct.unpack("<I", blob[8:12])
+            raw = bytearray(blob)
+            for pos in data.draw(st.lists(st.integers(0, 12 + n - 1),
+                                          min_size=1, max_size=3)):
+                raw[pos] = data.draw(st.integers(0, 255))
+            _check_header_corruption(path, bytes(raw), model, theta)
+
+    def test_every_header_bit_flip_loads_the_same_point_or_is_a_data_format_error(
+            self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        blob = _small_checkpoint(path)
+        model, theta = load_checkpoint(path)
+        n, = struct.unpack("<I", blob[8:12])
+        for pos in range(12 + n):
+            for bit in range(8):
+                _check_header_corruption(
+                    path, blob[:pos] + bytes([blob[pos] ^ 1 << bit]) + blob[pos + 1:],
+                    model, theta)
+
+    @pytest.mark.parametrize("changes", [
+        {"trainable": [True, False]}, {"trainable": [1, 0]},
+        {"trainable": "ab"}, {"trainable": [1, 1]},
+        {"homogeneity_degree": 1}, {"block_shapes": [[3, 4], [4]]}],
+        ids=["a frozen u", "integer flags", "a string", "integer ones",
+             "degree 1", "transposed W"])
+    def test_a_header_contradicting_its_model_is_a_data_format_error(
+            self, tmp_path, changes):
+        model = ModelSpec.two_layer_relu(3, 4)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, init_params(model, InitSpec(0.1, seed=5)))
+        path.write_bytes(with_header(path.read_bytes(), **changes))
+        with pytest.raises(DataFormatError):
+            load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"

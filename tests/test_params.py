@@ -1,5 +1,9 @@
 """ParamVector over one buffer: each operation gives the same bits as the
-block-by-block expression it replaces, and views share the buffer."""
+block-by-block expression it replaces, views share the buffer, and the
+interned layout is checked once and shared."""
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,10 +13,11 @@ from hypothesis.extra.numpy import arrays
 from steepdesc.errors import DataFormatError, ShapeMismatchError
 from steepdesc.models import (InitSpec, ModelSpec, init_params,
                               load_checkpoint, save_checkpoint)
-from steepdesc.params import ParamVector, from_flat
+from steepdesc.params import Layout, ParamVector, from_flat
 
 DIMS = st.integers(1, 5)
-SHAPES = st.lists(st.one_of(st.tuples(DIMS), st.tuples(DIMS, DIMS)),
+SHAPES = st.lists(st.one_of(st.tuples(DIMS), st.tuples(DIMS, DIMS),
+                            st.sampled_from([(1,), (1, 1)])),
                   min_size=1, max_size=4)
 VALUES = st.floats(-1e6, 1e6, width=64)
 SCALES = st.floats(-1e3, 1e3, width=64)
@@ -145,3 +150,115 @@ def test_checkpoint_with_a_leading_frozen_block_is_malformed(tmp_path):
                                   b'"trainable": [false, true]'))
     with pytest.raises(DataFormatError, match="come first"):
         load_checkpoint(path)
+
+
+@st.composite
+def layouts(draw):
+    """Block shapes, a trainable prefix's flags and a buffer of that size."""
+    shapes = [tuple(s) for s in draw(SHAPES)]
+    n = draw(st.integers(0, len(shapes)))
+    flags = [True] * n + [False] * (len(shapes) - n)
+    size = sum(int(np.prod(s)) for s in shapes)
+    flat = draw(arrays(np.float64, size, elements=VALUES))
+    return shapes, flags, flat
+
+
+def ref_split(flat, shapes):
+    """The blocks of ``flat`` in ``shapes``, as copies."""
+    out, start = [], 0
+    for s in shapes:
+        n = int(np.prod(s))
+        out.append(flat[start:start + n].reshape(s).copy())
+        start += n
+    return out
+
+
+def ref_join(blocks):
+    return np.concatenate([b.ravel() for b in blocks] + [np.zeros(0)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(layouts(), SCALES)
+def test_layout_operations_match_a_concatenation_reference(drawn, c):
+    shapes, flags, flat = drawn
+    n = flags.count(True)
+    layout = Layout.of(shapes, flags)
+    assert Layout.of(tuple(shapes), tuple(flags)) is layout
+    assert layout.prefix is Layout.of(shapes[:n]) and layout.prefix.prefix is layout.prefix
+    blocks = ref_split(flat, shapes)
+    head = ref_join(blocks[:n])
+    v = from_flat(flat, shapes, flags)
+    assert v.layout is layout and v.shapes() == tuple(shapes)
+    assert v.trainable == tuple(flags) and v.size == flat.size
+    assert [b.tobytes() for b in v.blocks] == [b.tobytes() for b in blocks]
+    assert v.trainable_flat().tobytes() == head.tobytes()
+    other = flat[::-1].copy()
+    for x, kept in ((other, shapes), (other[:head.size].copy(), shapes[:n])):
+        w = v.like(x)
+        assert w.layout is (layout if x.size == flat.size else layout.prefix)
+        assert w.flat() is x
+        assert [b.tobytes() for b in w.blocks] == [b.tobytes() for b in ref_split(x, kept)]
+        assert [b.tobytes() for b in v.views(x)] == [b.tobytes() for b in ref_split(x, kept)]
+        assert v.dot_flat(x) == ref_dot(blocks[:len(kept)], ref_split(x, kept))
+    delta = other[:head.size].copy()
+    assert v.add_trainable(delta).flat().tobytes() == ref_join(
+        ref_add_trainable(blocks, flags, ref_split(delta, shapes[:n]))).tobytes()
+    assert v.scaled_trainable(c).flat().tobytes() == ref_join(
+        ref_scaled_trainable(blocks, flags, c)).tobytes()
+    assert v.add_trainable(delta).layout is layout is v.scaled_trainable(c).layout
+    for copied in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+        assert copied.layout is layout and copied.flat().tobytes() == flat.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(layouts(), st.integers(1, 3))
+def test_wrong_sizes_and_flags_raise(drawn, extra):
+    shapes, flags, flat = drawn
+    v = from_flat(flat, shapes, flags)
+    wrong = np.zeros(flat.size + extra)
+    with pytest.raises(ShapeMismatchError, match="shapes need"):
+        from_flat(wrong, shapes, flags)
+    for call in (v.like, v.views, v.dot_flat):
+        with pytest.raises(ShapeMismatchError, match="shapes need"):
+            call(wrong)
+    if len(shapes) > 1:
+        with pytest.raises(ShapeMismatchError, match="come first"):
+            Layout.of(shapes, [False] + [True] * (len(shapes) - 1))
+    with pytest.raises(ShapeMismatchError, match="one boolean per block"):
+        Layout.of(shapes, [True] * (len(shapes) + 1))
+    with pytest.raises(ShapeMismatchError, match="one boolean per block"):
+        Layout.of(shapes, [1] * len(shapes))
+
+
+@settings(max_examples=50, deadline=None)
+@given(layouts())
+def test_every_constructor_runs_post_init_once(drawn):
+    shapes, flags, flat = drawn
+    blocks = ref_split(flat, shapes)
+    v = from_flat(flat, shapes, flags)
+    delta = np.ones(v.layout.prefix_size)
+    builds = {
+        "ParamVector": lambda: ParamVector(tuple(blocks), flags),
+        "of": lambda: ParamVector.of(*blocks, trainable=flags),
+        "from_flat": lambda: from_flat(flat, shapes, flags),
+        "like": lambda: v.like(flat.copy()),
+        "like prefix": lambda: v.like(delta),
+        "add_trainable": lambda: v.add_trainable(delta),
+        "scaled": lambda: v.scaled(2.0),
+        "scaled_trainable": lambda: v.scaled_trainable(2.0),
+        "copy": v.copy, "zeros_like": v.zeros_like,
+        "add": lambda: v + v, "sub": lambda: v - v,
+    }
+    original = ParamVector.__post_init__
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        original(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ParamVector, "__post_init__", counted)
+        for name, build in builds.items():
+            calls.clear()
+            built = build()
+            assert calls == [built], name
