@@ -3,13 +3,13 @@
 All measurements treat the trainable blocks as the optimization variable;
 frozen blocks never enter a norm or an inner product. Multipliers and
 gradient magnitudes are carried in log-domain so the diagnostics stay
-exact long after individual loss terms underflow.
+exact long after individual loss terms underflow. A row's two reports share
+q_min, theta's norms, ||g_hat||* and the alignment (``Evaluation.row_measures``).
 
-Caveat recorded once here rather than at every call site: the theory's
-minimum-dual-norm subgradient is approximated by the fixed selections
-(relu'(0) = 0 for the network, deterministic tie-breaking for the norm).
-Off non-differentiability points the two coincide, and generic
-trajectories only touch such points on a measure-zero set.
+Caveat: the theory's minimum-dual-norm subgradient is approximated by the
+fixed selections (relu'(0) = 0 for the network, deterministic tie-breaking
+for the norm). Off non-differentiability points the two coincide, and
+generic trajectories only touch such points on a measure-zero set.
 """
 from __future__ import annotations
 
@@ -73,41 +73,23 @@ class KKTReport:
         return np.exp(self.log_lambda)
 
 
-# the parameter norms every logged row reports, besides the algorithm's own
-_REPORTED_NORMS = {spec.label(): spec for spec in (
-    NormSpec.l1(), NormSpec.l2(), NormSpec.linf(), NormSpec.spectral())}
-
-
 def detect_separation(log_loss_value: float, loss: LossSpec) -> bool:
     """True once the loss has dropped strictly below the zero-margin level."""
     return log_loss_value < separation_threshold(loss)
 
 
-def _alignment(ev: Evaluation, algo_norm: NormSpec) -> float:
-    theta_norm = ev.theta_norm(algo_norm)
-    dual = ev.subgradient_dual(algo_norm)
-    if dual == 0.0 or theta_norm == 0.0:
-        return math.nan
-    return -ev.theta_dot_g_hat / (theta_norm * dual)
-
-
 def margin_report(ev: Evaluation, algo_norm: NormSpec) -> MarginReport:
     """All margin diagnostics at the evaluated point; requires theta != 0."""
-    algo_theta_norm = ev.theta_norm(algo_norm)
+    q_min, norms, algo_theta_norm, _, align = ev.row_measures(algo_norm)
     if algo_theta_norm == 0.0:
         raise ZeroVectorError("margin_report is undefined at theta = 0")
     degree = ev.model.homogeneity_degree
-    q_min = ev.q_min
-
-    norms = {label: ev.theta_norm(spec) for label, spec in _REPORTED_NORMS.items()}
-    norms[algo_norm.label()] = algo_theta_norm
+    norms = {**norms, algo_norm.label(): algo_theta_norm}
 
     try:
         soft = phi_inverse(ev.loss, -ev.log_loss) / algo_theta_norm**degree
     except ValueError:
         soft = math.nan
-
-    align = _alignment(ev, algo_norm)
 
     return MarginReport(
         q_min=q_min,
@@ -169,16 +151,13 @@ def kkt_residuals(ev: Evaluation, algo_norm: NormSpec,
     prefix.
     """
     degree = ev.model.homogeneity_degree
-    theta_norm = ev.theta_norm(algo_norm)
+    q_min, _, theta_norm, dual_hat, align = ev.row_measures(algo_norm)
     if theta_norm == 0.0:
         raise ZeroVectorError("kkt_residuals is undefined at theta = 0")
-
-    q_min = ev.q_min
     if q_min <= 0.0:
         raise NotSeparatedError(f"q_min = {q_min} <= 0: not separated")
 
     log_scale = ev.subgradient[1]
-    dual_hat = ev.subgradient_dual(algo_norm)
     if dual_hat == 0.0:
         raise ZeroVectorError("kkt_residuals: loss subgradient is exactly zero")
     log_g_dual = log_scale + math.log(dual_hat)
@@ -203,7 +182,6 @@ def kkt_residuals(ev: Evaluation, algo_norm: NormSpec,
 
     bregman_bound = delta_bound = None
     if gamma_tilde_t0 is not None and gamma_tilde_t0 > 0.0:
-        align = _alignment(ev, algo_norm)
         gt0 = gamma_tilde_t0 ** (2.0 / degree)
         bregman_bound = (1.0 - align) / gt0
         delta_bound = len(ev.q) / (math.e * gt0 * degree * (-ev.log_loss))

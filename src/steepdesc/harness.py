@@ -15,6 +15,7 @@ that step, and from there on only logged steps evaluate.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import warnings
 from dataclasses import dataclass, field, replace
@@ -316,26 +317,26 @@ def check_invariants(config: RunConfig, log: RunLog) -> list[str]:
     return out
 
 
-def _field_format(column: str, value) -> str:
+def _field_format(value) -> str:
     if value is None:
-        return f"%({column}).0s"            # prints nothing
-    return f"%({column})" + ("d" if isinstance(value, (int, np.integer)) else ".17g")
+        return "%.0s"            # prints nothing
+    return "%d" if isinstance(value, (int, np.integer)) else "%.17g"
 
 
 def emit_csv(log: RunLog, path) -> None:
     """Fixed-order CSV of the logged rows, 17 significant digits: None is
-    empty, a bool 1 or 0. A row is one %-format over its fields, built once
-    per pattern of field types."""
-    formats = {}
+    empty, a bool 1 or 0. A row is one %-format over its column values,
+    built once per pattern of value types."""
+    formats, values_of = {}, operator.attrgetter(*CSV_COLUMNS)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(CSV_COLUMNS) + "\n")
         for row in log.rows:
-            fields = vars(row)
-            key = tuple(map(type, fields.values()))
-            if key not in formats:
-                formats[key] = ",".join(_field_format(column, fields[column])
-                                        for column in CSV_COLUMNS) + "\n"
-            f.write(formats[key] % fields)
+            values = values_of(row)
+            key = tuple(map(type, values))
+            fmt = formats.get(key)
+            if fmt is None:
+                fmt = formats[key] = ",".join(map(_field_format, values)) + "\n"
+            f.write(fmt % values)
 
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
@@ -505,19 +506,27 @@ def _integer(v: dict, key: str, default: Optional[int] = None) -> int:
     return int(value)
 
 
+def _real(v: dict, key: str, default: float) -> float:
+    """A real-valued key, as a float: a number, not a bool read as 0 or 1."""
+    value = v.get(key, default)
+    if isinstance(value, bool):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _optimizer_from_values(v: dict, prefix: str = "") -> OptimizerSpec:
     kind = str(v.get(prefix + "optimizer", "steepest")).lower()
-    eta = float(v.get(prefix + "step_size", v.get("step_size", 1e-2)))
+    eta = _real(v, prefix + "step_size", _real(v, "step_size", 1e-2))
     if kind == "steepest":
         method = SteepestMethod(
             norm=parse_norm(str(v.get(prefix + "norm", "l2"))),
             normalized=_flag(v, prefix + "normalized"))
     elif kind == "adam":
-        method = AdamMethod(beta1=float(v.get(prefix + "beta1", 0.9)),
-                            beta2=float(v.get(prefix + "beta2", 0.999)),
-                            eps=float(v.get(prefix + "adam_eps", 1e-8)))
+        method = AdamMethod(beta1=_real(v, prefix + "beta1", 0.9),
+                            beta2=_real(v, prefix + "beta2", 0.999),
+                            eps=_real(v, prefix + "adam_eps", 1e-8))
     elif kind == "shampoo":
-        method = ShampooMethod(eps_reg=float(v.get(prefix + "shampoo_eps_reg", 0.0)))
+        method = ShampooMethod(eps_reg=_real(v, prefix + "shampoo_eps_reg", 0.0))
     else:
         raise ConfigError(f"unknown optimizer {kind!r}")
     return OptimizerSpec(method=method, step_size=eta)
@@ -548,7 +557,7 @@ def config_from_values(values: dict, output_dir: Optional[str] = None) -> RunCon
             model = ModelSpec.two_layer_relu(
                 input_dim, _integer(v, "width"),
                 _flag(v, "freeze_second_layer"))
-        init = InitSpec(scale=float(v.get("init_scale", 0.01)),
+        init = InitSpec(scale=_real(v, "init_scale", 0.01),
                         scheme=str(v.get("init_scheme", "fan_in_uniform")),
                         seed=_integer(v, "init_seed", 0))
         loss = LossSpec(str(v.get("loss", "exponential")))
@@ -558,12 +567,12 @@ def config_from_values(values: dict, output_dir: Optional[str] = None) -> RunCon
             sw_values = {"optimizer": v["switch_to"],
                          "norm": v.get("switch_norm", v.get("norm", "l2")),
                          "normalized": _flag(v, "switch_normalized"),
-                         "step_size": v.get("switch_step_size",
-                                            v.get("step_size", 1e-2)),
-                         "beta1": v.get("beta1", 0.9),
-                         "beta2": v.get("beta2", 0.999),
-                         "adam_eps": v.get("adam_eps", 1e-8),
-                         "shampoo_eps_reg": v.get("shampoo_eps_reg", 0.0)}
+                         "step_size": _real(v, "switch_step_size",
+                                            _real(v, "step_size", 1e-2)),
+                         "beta1": _real(v, "beta1", 0.9),
+                         "beta2": _real(v, "beta2", 0.999),
+                         "adam_eps": _real(v, "adam_eps", 1e-8),
+                         "shampoo_eps_reg": _real(v, "shampoo_eps_reg", 0.0)}
             optimizer = replace(optimizer,
                                 switch_to=_optimizer_from_values(sw_values))
 
@@ -573,7 +582,7 @@ def config_from_values(values: dict, output_dir: Optional[str] = None) -> RunCon
                 input_dim=input_dim,
                 width=_integer(v, "teacher_k", 4),
                 active_per_neuron=_integer(v, "teacher_active", 3),
-                weight_scale=float(v.get("teacher_weight_scale", 1.0)),
+                weight_scale=_real(v, "teacher_weight_scale", 1.0),
                 seed=_integer(v, "teacher_seed", 1))
             data = DataSource(kind="teacher", teacher=teacher,
                               train_m=_integer(v, "train_m"),

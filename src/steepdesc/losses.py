@@ -9,16 +9,16 @@ per-example weights, multipliers) is carried as logarithms:
   * ``logistic``     Phi(u) = -log(log(1 + exp(-u))), so l(u) = log(1+exp(-u))
 
 ``log_loss`` is exact in log-domain even when every term underflows;
-``evaluate`` computes margins, log-weights, log-loss and the subgradient once
-per point, right after the forward pass and from the hidden layer it left.
-The subgradient is factored as exp(log_scale) * g_hat with g_hat
-well-conditioned, which the training step and the diagnostics all share.
+``evaluate`` computes margins, log-weights, log-loss and the subgradient
+exp(log_scale) * g_hat (g_hat well-conditioned) once per point, from the
+hidden layer the forward pass left. A logged row's measures of the point are
+taken once, on first use, and kept on its ``Evaluation`` (``row_measures``).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -125,7 +125,12 @@ def phi_prime(loss: LossSpec, u):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
+# the parameter norms every logged row reports, besides the algorithm's own
+_REPORTED_NORMS = {spec.label(): spec for spec in (
+    NormSpec.l1(), NormSpec.l2(), NormSpec.linf(), NormSpec.spectral())}
+
+
+@dataclass(eq=False, slots=True)
 class Evaluation:
     """Margins ``q``, log-weights ``logw``, ``log_loss`` and the loss
     subgradient at one point.
@@ -144,32 +149,24 @@ class Evaluation:
     logw: np.ndarray
     log_loss: float
     subgradient: tuple[ParamVector, float]
-    _duals: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
-    _norms: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
+    _row: Optional[tuple] = field(default=None, init=False, repr=False)
 
-    def subgradient_dual(self, norm: NormSpec) -> float:
-        """||g_hat||* of the trainable blocks under ``norm``, once per norm."""
-        if norm not in self._duals:
-            self._duals[norm] = dual_norm_value(norm, self.subgradient[0])
-        return self._duals[norm]
-
-    @cached_property
-    def q_min(self) -> float:
-        """The worst output margin."""
-        return float(self.q.min())
-
-    @cached_property
-    def theta_dot_g_hat(self) -> float:
-        """<theta, g_hat> over the trainable blocks."""
-        return self.theta.dot_flat(self.subgradient[0].trainable_flat())
-
-    def theta_norm(self, norm: NormSpec) -> float:
-        """||theta|| of the trainable blocks under ``norm``, once per norm."""
-        if norm not in self._norms:
-            self._norms[norm] = norm_value(norm, self.theta)
-        return self._norms[norm]
+    def row_measures(self, norm: NormSpec) -> tuple[float, dict, float, float, float]:
+        """A logged row's measures, once per point and algorithm ``norm``: q_min,
+        theta's l1/l2/linf/spectral norms by label, and under ``norm`` ||theta||,
+        ||g_hat||* and the alignment -<theta, g_hat> / (||theta|| ||g_hat||*)."""
+        if self._row is None or self._row[0] is not norm:
+            norms = {label: norm_value(spec, self.theta)
+                     for label, spec in _REPORTED_NORMS.items()}
+            theta_norm = norms.get(norm.kind)
+            if theta_norm is None:
+                theta_norm = norm_value(norm, self.theta)
+            g_hat = self.subgradient[0]
+            dual = dual_norm_value(norm, g_hat)
+            align = (math.nan if dual == 0.0 or theta_norm == 0.0 else
+                     -self.theta.dot_flat(g_hat.trainable_flat()) / (theta_norm * dual))
+            self._row = (norm, float(self.q.min()), norms, theta_norm, dual, align)
+        return self._row[1:]
 
 
 def evaluate(loss: LossSpec, model: ModelSpec, theta: ParamVector, data,
@@ -205,7 +202,7 @@ def phi_inverse(loss: LossSpec, v: float) -> float:
     """Phi^{-1}(v); for the logistic loss, -log(exp(exp(-v)) - 1) with an
     asymptotic branch above v = 30 where the direct form cancels."""
     v = float(v)
-    if np.isnan(v):
+    if math.isnan(v):
         raise ValueError("phi_inverse: v is NaN")
     if loss.kind == EXPONENTIAL:
         return v

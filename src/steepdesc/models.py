@@ -53,6 +53,10 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in (LINEAR, TWO_LAYER_RELU):
             raise ConfigError(f"unknown model kind {self.kind!r}")
+        for name in ("input_dim", "width"):
+            size = getattr(self, name)
+            if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {size!r}")
         if self.input_dim < 1:
             raise ConfigError("input_dim must be positive")
         if self.kind == TWO_LAYER_RELU and self.width < 1:

@@ -145,11 +145,11 @@ def _block_norm(kind: str, block: np.ndarray) -> float:
             return _l2(x)
         return float(np.abs(x).max()) if x.size else 0.0
     m = _as_matrix(block)
-    if m.size == 0 or not m.any():
-        return 0.0
-    if m.shape[1] == 1:
+    if m.shape[1] == 1:             # a one-column matrix: both are its l2 norm
         return _l2(m.ravel())
-    s = np.linalg.svd(m, compute_uv=False)
+    if m.size == 0:
+        return 0.0
+    s = np.linalg.svd(m, compute_uv=False)     # all +0.0 for a zero matrix
     return float(s[0] if kind == SPECTRAL else s.sum())
 
 
@@ -187,27 +187,47 @@ def _dual(spec: NormSpec, v: ParamVector, flat: np.ndarray | None = None) -> flo
     return float(sum([_block_norm(_DUAL[k], x) for k, x in _segments(spec, v, flat)]))
 
 
-def _unit_direction(kind: str, x: np.ndarray) -> np.ndarray:
-    """Unit-norm steepest direction of one segment as a flat array,
-    <d, x> = -||x||*; zero where ||x||* is zero."""
+def _unit_direction(kind: str, x: np.ndarray) -> tuple[np.ndarray, float | None]:
+    """Unit-norm steepest direction of one segment as a flat array, <d, x> =
+    -||x||*, zero where ||x||* is; and ||x||* if its pass forms it, else None."""
+    if kind == L2:
+        x = x.ravel()
+        dual = _l2(x)
+        return (x / -dual if dual else np.zeros(x.size)), dual
     if kind == SPECTRAL:
         if not x.any():
-            return np.zeros(x.size)
+            return np.zeros(x.size), None
         u, _, v = thin_svd(_as_matrix(x))
-        return -(u @ v.T).ravel()
+        return -(u @ v.T).ravel(), None
     x = x.ravel()
-    if kind == L2:
-        dual = _l2(x)
-        return x / -dual if dual else np.zeros(x.size)
     if kind == L1:
         d = np.zeros(x.size)
-        if x.size:
-            j = int(np.abs(x).argmax())
-            if x[j]:
-                d[j] = -np.sign(x[j])
-        return d
+        if not x.size:
+            return d, 0.0
+        a = np.abs(x)
+        j = int(a.argmax())
+        if x[j]:
+            d[j] = -np.sign(x[j])
+        return d, float(a[j])     # the largest |x_i|, as a.max() gives it
     # linf: full sign vector, sign(0) = 0
-    return -np.sign(x) if x.any() else np.zeros(x.size)
+    return (-np.sign(x) if x.any() else np.zeros(x.size)), None
+
+
+def _steepest(spec: NormSpec, g: ParamVector, with_dual: bool
+              ) -> tuple[np.ndarray, float | None]:
+    """The unit direction of g's trainable blocks as a flat array and, when
+    ``with_dual``, ||g||*, from the direction's pass where it gives it."""
+    if not np.isfinite(g.trainable_flat()).all():
+        raise NonFiniteError("steepest direction: gradient has non-finite entries")
+    parts, duals = [], []
+    for kind, x in _segments(spec, g):
+        unit, dual = _unit_direction(kind, x)
+        parts.append(unit)
+        if with_dual:
+            duals.append(_block_norm(_DUAL[kind], x) if dual is None else dual)
+    # one segment's direction is already a new flat array: joining would copy it
+    unit = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return unit, (float(sum(duals)) if with_dual else None)
 
 
 def unit_steepest_direction(spec: NormSpec, g: ParamVector) -> ParamVector:
@@ -216,14 +236,15 @@ def unit_steepest_direction(spec: NormSpec, g: ParamVector) -> ParamVector:
 
     This is the displacement of the normalized update rules; the raw
     steepest direction is ``dual_norm_value(spec, g)`` times this. Each
-    segment's zero test is its own dual norm (or an exact zero check), so
-    no dual norm is taken twice.
+    segment's zero test is its own dual norm (or an exact zero check).
     """
-    if not np.isfinite(g.trainable_flat()).all():
-        raise NonFiniteError("steepest direction: gradient has non-finite entries")
-    parts = [_unit_direction(k, x) for k, x in _segments(spec, g)]
-    # one segment's direction is already a new flat array: joining would copy it
-    return g.like(parts[0] if len(parts) == 1 else np.concatenate(parts))
+    return g.like(_steepest(spec, g, False)[0])
+
+
+def unit_direction_and_dual(spec: NormSpec, g: ParamVector) -> tuple[np.ndarray, float]:
+    """``unit_steepest_direction(spec, g).flat()`` and ``dual_norm_value(spec,
+    g)``, the same bits, with one pass over each l2 or l1 segment."""
+    return _steepest(spec, g, True)
 
 
 def steepest_direction(spec: NormSpec, g: ParamVector) -> ParamVector:
@@ -233,9 +254,8 @@ def steepest_direction(spec: NormSpec, g: ParamVector) -> ParamVector:
     g != 0; returns zero for g = 0. The map is positively homogeneous, so
     callers carrying gradient magnitudes in log-domain may rescale after.
     """
-    dual = dual_norm_value(spec, g)
-    unit = unit_steepest_direction(spec, g)
-    return unit.scaled(dual) if dual != 0.0 else unit
+    unit, dual = unit_direction_and_dual(spec, g)
+    return g.like(dual * unit if dual != 0.0 else unit)
 
 
 def norm_subgradient(spec: NormSpec, theta: ParamVector) -> ParamVector:

@@ -6,14 +6,13 @@ they return a new parameter vector (and, where stateful, a new state).
 Frozen blocks never move: each step forms the new point with one
 ``ParamVector.add_trainable`` of a flat displacement.
 
-A steepest step builds two vectors, the unit direction and the new point,
-also with a frozen block: the direction and the dual norm read the
-gradient's trainable prefix in place. With the gradient ``evaluate``
-builds, a training step builds three. The gradient is checked for
-non-finite entries once, inside ``unit_steepest_direction``, and the dual
-norm is taken only for the raw step's factor. Adam keeps its moments as flat
-arrays over the trainable prefix, so its step builds only the new point
-(and the rescaled gradient ``take_step`` forms from a log scale).
+A raw steepest step builds one vector, the new point, a normalized one also
+the unit direction, with or without a frozen block: the direction and its
+dual norm read the gradient's trainable prefix in place, in one pass for an
+l2 or l1 segment. The gradient is checked for non-finite entries once, and
+the dual norm is taken only for the raw step's factor. Adam keeps its
+moments as flat arrays over the trainable prefix, so its step builds only
+the new point (and the rescaled gradient ``take_step`` forms from a log scale).
 
 Special cases worth knowing:
   * Adam with beta1 = beta2 = eps = 0 is exactly the normalized sign step
@@ -31,7 +30,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import ConfigError, NonFiniteError
-from .norms import NormSpec, dual_norm_value, unit_steepest_direction
+from .norms import NormSpec, unit_direction_and_dual, unit_steepest_direction
 from .params import ParamVector
 
 
@@ -113,17 +112,16 @@ def step_steepest(theta: ParamVector, g: ParamVector, spec: OptimizerSpec,
     method = spec.method
     if not isinstance(method, SteepestMethod):
         raise TypeError("step_steepest requires a steepest-descent method")
-    unit = unit_steepest_direction(method.norm, g)  # raises on non-finite g
-    if method.normalized:
-        return theta.add_trainable(eta * unit.flat())
-    dual = dual_norm_value(method.norm, g)
+    if method.normalized:       # raises on non-finite g, as the raw step does
+        return theta.add_trainable(eta * unit_steepest_direction(method.norm, g).flat())
+    unit, dual = unit_direction_and_dual(method.norm, g)
     if dual == 0.0:
         return theta
     factor = eta * dual * _exp_saturating(log_scale)
     # an overflowed factor deliberately propagates inf/nan so the caller's
     # divergence check fires
     with np.errstate(invalid="ignore", over="ignore"):
-        return theta.add_trainable(factor * unit.flat())
+        return theta.add_trainable(factor * unit)
 
 
 def step_adam(theta: ParamVector, g: ParamVector, state: OptimizerState,
@@ -218,8 +216,7 @@ def take_step(theta: ParamVector, g: ParamVector, state: OptimizerState,
     """Dispatch one update under ``spec`` at its configured step size."""
     eta = spec.step_size
     if isinstance(spec.method, SteepestMethod):
-        return (step_steepest(theta, g, spec, eta, log_scale=log_scale),
-                OptimizerState(t=state.t + 1))
+        return step_steepest(theta, g, spec, eta, log_scale), OptimizerState(state.t + 1)
     scaled = g.scaled(_exp_saturating(log_scale)) if log_scale != 0.0 else g
     if isinstance(spec.method, AdamMethod):
         return step_adam(theta, scaled, state, spec, eta)

@@ -172,8 +172,8 @@ class ParamVector:
 
     def dot_flat(self, flat: np.ndarray) -> float:
         """<self, v> for v's full or trainable ``flat``, block by block."""
-        return float(sum(a.ravel().dot(b.ravel())
-                         for a, b in zip(self.blocks, self.views(flat))))
+        return float(sum([a.ravel().dot(b.ravel())
+                          for a, b in zip(self.blocks, self.views(flat))]))
 
     def allfinite(self) -> bool:
         return bool(np.isfinite(self.buffer).all())

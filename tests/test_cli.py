@@ -126,6 +126,26 @@ class TestTrainCommand:
         assert "diverged" not in err
         assert not (out / "run.csv").exists()
 
+    @pytest.mark.parametrize("lines, key", [
+        ("init_scale = true", "init_scale"),
+        ("step_size = true", "step_size"),
+        ("switch_to = steepest\nswitch_step_size = false", "switch_step_size"),
+        ("optimizer = adam\nbeta1 = false", "beta1"),
+        ("optimizer = adam\nbeta2 = false", "beta2"),
+        ("optimizer = adam\nadam_eps = true", "adam_eps"),
+        ("optimizer = shampoo\nshampoo_eps_reg = true", "shampoo_eps_reg"),
+        (TEACHER + "teacher_weight_scale = true", "teacher_weight_scale"),
+    ], ids=["init_scale", "step_size", "switch_step_size", "beta1", "beta2",
+            "adam_eps", "shampoo_eps_reg", "teacher_weight_scale"])
+    def test_boolean_real_value_exits_1(self, tmp_path, toy_dataset, capsys,
+                                        lines, key):
+        cfg, out = write_config(tmp_path, toy_dataset)
+        cfg.write_text(cfg.read_text() + lines + "\n")
+        assert cli_main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be a number"), err
+        assert not (out / "run.csv").exists()
+
     def test_non_utf8_config_exits_1(self, tmp_path, toy_dataset, capsys):
         cfg, out = write_config(tmp_path, toy_dataset)
         cfg.write_bytes(cfg.read_bytes() + b"# caf\xe9\n")

@@ -197,6 +197,11 @@ class TestSampleDataset:
         assert 0.2 <= positive <= 0.8
 
 
+# label files holding at least two distinct digits
+IDX_LABELS = st.lists(st.integers(0, 9), min_size=2, max_size=12).filter(
+    lambda labels: len(set(labels)) > 1)
+
+
 def build_idx_fixture(tmp_path, labels=(3, 6, 3, 6), magic_img=2051,
                       magic_lab=2049, rows=4, cols=3):
     n = len(labels)
@@ -260,6 +265,39 @@ class TestLoadIdx:
         img, lab, _ = build_idx_fixture(tmp_path)
         with pytest.raises(DataFormatError, match="need"):
             load_idx(img, lab, 3, 6, 10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(labels=IDX_LABELS, rows=st.integers(1, 5), cols=st.integers(1, 5),
+           data=st.data())
+    def test_a_written_pair_loads_back_bit_exact(self, labels, rows, cols, data):
+        a = data.draw(st.sampled_from(sorted(set(labels))))
+        b = data.draw(st.sampled_from(sorted(set(labels) - {a})))
+        matches = [i for i, label in enumerate(labels) if label in (a, b)]
+        m = data.draw(st.integers(1, len(matches)))
+        with tempfile.TemporaryDirectory() as tmp:
+            img, lab, pixels = build_idx_fixture(Path(tmp), labels, rows=rows,
+                                                 cols=cols)
+            ds = load_idx(img, lab, a, b, m)
+        keep = matches[:m]
+        X = pixels.reshape(len(labels), rows * cols)[keep].astype(np.float64) / 255.0
+        y = np.array([1.0 if labels[i] == a else -1.0 for i in keep])
+        assert ds.X.tobytes() == X.tobytes() and ds.y.tobytes() == y.tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(labels=IDX_LABELS, rows=st.integers(1, 4), cols=st.integers(1, 4))
+    def test_every_prefix_of_either_file_is_a_data_format_error(self, labels,
+                                                               rows, cols):
+        a, b = sorted(set(labels))[:2]
+        with tempfile.TemporaryDirectory() as tmp:
+            img, lab, _ = build_idx_fixture(Path(tmp), labels, rows=rows, cols=cols)
+            for path in (img, lab):
+                whole = path.read_bytes()
+                for cut in range(len(whole)):
+                    path.write_bytes(whole[:cut])
+                    with pytest.raises(DataFormatError):
+                        load_idx(img, lab, a, b, 1)
+                path.write_bytes(whole)
+            load_idx(img, lab, a, b, 1)
 
 
 class TestPersistence:

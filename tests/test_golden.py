@@ -3,7 +3,8 @@ pinned-PRNG data and initialization they start from.
 
 Each case is a shipped ``configs/desk_*.cfg`` with a few keys overridden,
 run for 2,000 steps (Shampoo, with its per-step eigendecompositions, for
-400) without a test set and logged every 20 steps. Step sizes are raised
+400) without a test set and logged every 20 steps; the ``late_phase`` case
+runs 400 steps with a row on every step. Step sizes are raised
 where the shipped one does not separate that soon, and the frozen-second-layer
 cases start from a larger init for the same reason, so every case has rows
 past separation and runs the KKT diagnostics. The SHA-256 of
@@ -65,6 +66,9 @@ CASES = {
                                     "init_scale": 1.0, "norm": "spectral",
                                     "diagnostics_norms": "spectral",
                                     "normalized": True, "step_size": 0.1}),
+    # the paper's late phase: a margin and KKT row on every step, 305 of
+    # them past separation (step 96) on consecutive steps
+    "late_phase": ("desk_gd", {"log_every": 1, "epochs": 400}),
 }
 
 GOLDEN = {
@@ -101,6 +105,9 @@ GOLDEN = {
     "frozen_spectral": {
         "run.csv": "629d149ad1231062abb02faa8b94edb7af6d3495d6abbda004e497fb2a2c824a",
         "final.ckpt": "422204ca715acf9dffac3132570740a9b88480f09b8b708fe50e88a612bb6408"},
+    "late_phase": {
+        "run.csv": "c265a3d0f8899e8b1dc56b22c5223b44b352f4dcc97a5fbca86f6143b1d5a701",
+        "final.ckpt": "ccd852ec89951a4df98f132ca43622b6c20f117bea89306dec76857eee9adab6"},
 }
 
 

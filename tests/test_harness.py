@@ -1,4 +1,5 @@
 import re
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -82,6 +83,18 @@ class TestRunTraining:
                             model=ModelSpec.linear(2))
         with pytest.raises(DivergenceError):
             run_training(config, train=clash)
+
+    def test_an_overflowing_gradient_scale_diverges_silently(self):
+        # a large init puts a margin below -709, so the raw step's
+        # exp(log_scale) overflows: the step goes non-finite without a
+        # RuntimeWarning and the next step stops the run
+        mirror = Dataset(np.array([[1.0, 2.0], [-1.0, -2.0]]), np.array([1.0, 1.0]))
+        config = toy_config(epochs=50, log_every=10, model=ModelSpec.linear(2),
+                            init=InitSpec(scale=1e4, seed=3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="step 1: non-finite parameters"):
+                run_training(config, train=mirror)
 
     def test_kkt_fields_appear_after_t0(self):
         log = run_training(toy_config(), train=four_point_set())

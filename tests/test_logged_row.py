@@ -291,6 +291,28 @@ def test_reports_match_the_block_vector_row_bit_for_bit(algo, freeze, loss):
             check_row(loss, model, theta, data, ALGOS[algo](2 - freeze))
 
 
+def one_input_point(seed, freeze):
+    """A two-layer network on one input, so W is a one-column matrix, and
+    inputs labelled by its own sign."""
+    rng = np.random.default_rng(seed)
+    model = ModelSpec.two_layer_relu(1, 6, freeze_second_layer=freeze)
+    theta = ParamVector.of(rng.standard_normal((6, 1)), rng.standard_normal(6),
+                           trainable=(True, not freeze))
+    X = rng.standard_normal((20, 1))
+    f = forward_batch(model, theta, X)
+    keep = f != 0.0
+    return model, theta, Points(X[keep], np.sign(f[keep]))
+
+
+@pytest.mark.parametrize("freeze", [False, True], ids=["trainable", "frozen"])
+@pytest.mark.parametrize("algo", sorted(ALGOS))
+def test_reports_match_with_a_one_column_w_block(algo, freeze):
+    for seed in range(3):
+        model, theta, data = one_input_point(seed, freeze)
+        for loss in (EXP, LOG):
+            check_row(loss, model, theta, data, ALGOS[algo](2 - freeze))
+
+
 @pytest.mark.parametrize("algo", sorted(ALGOS))
 def test_reports_match_on_a_trained_desk_point(algo, desk_point):
     model, theta, data = desk_point

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steepdesc.errors import DataFormatError, ShapeMismatchError
+from steepdesc.errors import ConfigError, DataFormatError, ShapeMismatchError
 from steepdesc.models import (COORDINATE_UNIFORM, InitSpec, ModelSpec,
                               euler_identity_check, forward, forward_batch,
                               init_params, load_checkpoint,
@@ -30,6 +30,25 @@ def random_model_point(rng, width=8, d=4, freeze=False):
                            trainable=(True, not freeze))
     x = rng.standard_normal(d)
     return model, theta, x
+
+
+class TestModelSpec:
+    @pytest.mark.parametrize("build", [
+        lambda: ModelSpec.two_layer_relu(2.5, 4),
+        lambda: ModelSpec.two_layer_relu(True, 4),
+        lambda: ModelSpec.two_layer_relu(3, 4.0),
+        lambda: ModelSpec.two_layer_relu(3, False),
+        lambda: ModelSpec.linear(2.0),
+        lambda: ModelSpec.linear("3"),
+    ], ids=["fractional input_dim", "boolean input_dim", "float width",
+            "boolean width", "float linear input_dim", "string input_dim"])
+    def test_a_non_integer_size_is_a_config_error(self, build):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            build()
+
+    def test_numpy_integer_sizes_are_sizes(self):
+        model = ModelSpec.two_layer_relu(np.int64(3), np.int32(4))
+        assert init_params(model, InitSpec(0.1)).shapes() == ((4, 3), (4,))
 
 
 class TestForward:
@@ -59,6 +78,34 @@ class TestForward:
         model, theta = relu_single()
         with pytest.raises(ShapeMismatchError):
             forward(model, theta, np.array([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("rows", [1, 7, 32, 33, 40], ids=lambda r: f"{r} rows")
+    def test_any_buffer_gives_the_chunk_loop_bytes(self, rows):
+        """Fewer buffer rows than X (chunks), as many (one product) or more:
+        the bytes of the chunk loop, and the buffer left holding the last
+        chunk's hidden layer."""
+        rng = np.random.default_rng(3)
+        model, theta, _ = random_model_point(rng, width=64, d=16)
+        X = rng.standard_normal((33, 16))
+        hidden, ref_hidden = np.full((2, rows, 64), np.nan)
+        f = forward_batch(model, theta, X, hidden)
+        assert f.tobytes() == ref_forward_batch(theta, X, ref_hidden).tobytes()
+        assert hidden.tobytes() == ref_hidden.tobytes()
+        if rows >= len(X):
+            assert f.tobytes() == forward_batch(model, theta, X).tobytes()
+
+
+def ref_forward_batch(theta, X, hidden):
+    """The two-layer forward pass as a loop over chunks of the buffer's
+    rows, also when one chunk covers X."""
+    w, u = theta.blocks
+    f = np.empty(len(X))
+    for start in range(0, len(X), len(hidden)):
+        rows = X[start:start + len(hidden)]
+        h = hidden[:len(rows)]
+        np.maximum(np.matmul(rows, w.T, out=h), 0.0, out=h)
+        np.matmul(h, u, out=f[start:start + len(rows)])
+    return f
 
 
 class TestSubgradient:

@@ -9,7 +9,7 @@ from steepdesc.losses import (LossSpec, evaluate, log_loss, loss_subgradient,
 from steepdesc.models import ModelSpec
 from steepdesc.norms import (NormSpec, dual_norm_value, norm_subgradient,
                              norm_value, steepest_direction, thin_svd,
-                             unit_steepest_direction)
+                             unit_direction_and_dual, unit_steepest_direction)
 from steepdesc.optimizers import (AdamMethod, OptimizerSpec, OptimizerState,
                                   ShampooMethod, SteepestMethod, apply_switch,
                                   step_adam, step_shampoo, step_steepest,
@@ -101,13 +101,13 @@ LEAN_SPECS = [steepest(NormSpec.l2(), 0.1),
 LEAN_IDS = ["l2 raw", "l1 normalized", "linf normalized"]
 
 
-def frozen_or_not(freeze, seed=11):
-    """A two-layer point, its data and its evaluation."""
+def frozen_or_not(freeze, seed=11, d=4):
+    """A two-layer point with d inputs, its data and its evaluation."""
     rng = np.random.default_rng(seed)
-    model = ModelSpec.two_layer_relu(4, 6, freeze_second_layer=freeze)
-    theta = ParamVector.of(rng.standard_normal((6, 4)), rng.standard_normal(6),
+    model = ModelSpec.two_layer_relu(d, 6, freeze_second_layer=freeze)
+    theta = ParamVector.of(rng.standard_normal((6, d)), rng.standard_normal(6),
                            trainable=(True, not freeze))
-    data = Points(rng.standard_normal((10, 4)), np.sign(rng.standard_normal(10)))
+    data = Points(rng.standard_normal((10, d)), np.sign(rng.standard_normal(10)))
     return theta, evaluate(LossSpec.exponential(), model, theta, data)
 
 
@@ -200,6 +200,59 @@ class TestLeanSteepestStep:
         new = step_steepest(theta, theta.zeros_like(),
                             steepest(norm, 0.1, normalized), 0.1, log_scale=3.0)
         assert new.flat().tobytes() == theta.flat().tobytes()
+
+
+def float_bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def gradients(theta, g):
+    """Gradients a step meets: a loss gradient, one with exact ties in |g|
+    and zeros, one with a zero W block, and zero."""
+    ties = g.flat().copy()
+    ties[:8] = [0.5, -0.5, 0.0, 0.5, -0.25, 0.0, -0.5, 0.5]
+    zero_w = g.flat().copy()
+    zero_w[:theta.blocks[0].size] = 0.0
+    return {"loss": g, "ties": g.like(ties), "zero W": g.like(zero_w),
+            "zero": g.zeros_like()}
+
+
+class TestOnePassStep:
+    """The raw step takes its unit direction and dual norm in one pass
+    (``unit_direction_and_dual``); these pin it, bit for bit, to the two
+    maps it stands for."""
+
+    @pytest.mark.parametrize("d", [4, 1], ids=["4 inputs", "1 input"])
+    @pytest.mark.parametrize("freeze", [False, True], ids=["trainable", "frozen"])
+    @pytest.mark.parametrize("norm", NORMS, ids=NORM_IDS)
+    def test_unit_and_dual_are_those_of_the_two_maps(self, norm, freeze, d):
+        if freeze and norm.kind == "modular_max":
+            norm = NormSpec.modular([NormSpec.spectral()])
+        theta, ev = frozen_or_not(freeze, d=d)
+        for name, g in gradients(theta, ev.subgradient[0]).items():
+            unit, dual = unit_direction_and_dual(norm, g)
+            assert unit.tobytes() == unit_steepest_direction(norm, g).flat().tobytes(), name
+            assert float_bits(dual) == float_bits(dual_norm_value(norm, g)), name
+
+    @pytest.mark.parametrize("d", [4, 1], ids=["4 inputs", "1 input"])
+    @pytest.mark.parametrize("log_scale", [0.0, -40.0, 3.5])
+    @pytest.mark.parametrize("normalized", [False, True], ids=["raw", "normalized"])
+    @pytest.mark.parametrize("norm", NORMS, ids=NORM_IDS)
+    def test_step_is_theta_plus_eta_dual_exp_unit(self, norm, normalized, log_scale, d):
+        theta, ev = frozen_or_not(False, d=d)
+        eta = 0.1
+        for name, g in gradients(theta, ev.subgradient[0]).items():
+            unit = unit_steepest_direction(norm, g).flat()
+            dual = dual_norm_value(norm, g)
+            if normalized:
+                ref = theta.add_trainable(eta * unit)
+            elif dual == 0.0:
+                ref = theta
+            else:
+                ref = theta.add_trainable(eta * dual * float(np.exp(log_scale)) * unit)
+            new = step_steepest(theta, g, steepest(norm, eta, normalized), eta,
+                                log_scale=log_scale)
+            assert new.flat().tobytes() == ref.flat().tobytes(), name
 
 
 class TestAdam:
