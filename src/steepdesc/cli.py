@@ -18,8 +18,8 @@ import numpy as np
 from . import data as data_mod
 from .diagnostics import kkt_residuals, margin_report
 from .errors import ConfigError, NotSeparatedError, SteepdescError
-from .harness import (CSV_COLUMNS, config_from_values, emit_svg, parse_norm,
-                      read_flat_config, run_training)
+from .harness import (_KEYS, CSV_COLUMNS, config_from_values, emit_svg,
+                      parse_norm, read_flat_config, run_training)
 from .losses import LossSpec, evaluate
 from .models import load_checkpoint
 from .oracle import grid_max_margin
@@ -164,28 +164,28 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_sweep(args) -> int:
     base = read_flat_config(args.config)
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    scales = ([float(s) for s in args.scales.split(",") if s.strip()]
-              if args.scales else [float(base.get("init_scale", 0.01))])
+    seeds = [_KEYS["seed"][0]("seed", s) for s in args.seeds.split(",") if s.strip()]
+    scales = ([_KEYS["init_scale"][0]("init_scale", s)
+               for s in args.scales.split(",") if s.strip()]
+              if args.scales else [config_from_values(base).init.scale])
     out_root = Path(args.output_dir)
+    # every run's config is built, so checked, before the first run starts
+    configs = [config_from_values({
+        **base, "seed": seed, "init_scale": scale,
+        "output_dir": str(out_root / f"seed{seed}_scale{scale:g}")})
+        for seed in sorted(seeds) for scale in sorted(scales)]
     out_root.mkdir(parents=True, exist_ok=True)
     rows = []
-    for seed in sorted(seeds):
-        for scale in sorted(scales):
-            values = dict(base)
-            values["seed"] = seed
-            values["init_scale"] = scale
-            run_dir = out_root / f"seed{seed}_scale{scale:g}"
-            values["output_dir"] = str(run_dir)
-            config = config_from_values(values)
-            try:
-                log = run_training(config)
-                final = log.rows[-1]
-                rows.append((seed, scale, 0, final.test_acc, final.gamma_1,
-                             final.gamma_2, final.gamma_inf))
-            except SteepdescError as exc:
-                print(f"seed {seed} scale {scale:g}: {exc}", file=sys.stderr)
-                rows.append((seed, scale, 1, None, None, None, None))
+    for config in configs:
+        seed, scale = config.seed, config.init.scale
+        try:
+            log = run_training(config)
+            final = log.rows[-1]
+            rows.append((seed, scale, 0, final.test_acc, final.gamma_1,
+                         final.gamma_2, final.gamma_inf))
+        except SteepdescError as exc:
+            print(f"seed {seed} scale {scale:g}: {exc}", file=sys.stderr)
+            rows.append((seed, scale, 1, None, None, None, None))
     with open(out_root / "sweep.csv", "w", encoding="utf-8") as f:
         f.write("seed,init_scale,diverged,test_acc,gamma_1,gamma_2,gamma_inf\n")
         for row in rows:

@@ -11,12 +11,14 @@ loss threshold; its soft margin is frozen for the finite-time bounds.
 Once log-loss falls below -700 the parameters freeze (logging continues)
 to keep raw gradient magnitudes representable; ``RunLog.freeze_step`` is
 that step, and from there on only logged steps evaluate.
+
+Every key of a flat run config is parsed by its rule in one key table,
+used by the run or not, before the specs are built from the parsed values.
 """
 from __future__ import annotations
 
 import math
 import operator
-import os
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -30,7 +32,8 @@ from .diagnostics import (MarginReport, detect_separation, kkt_residuals,
                           margin_report)
 from .errors import ConfigError, DivergenceError, InvariantViolation
 from .losses import EXPONENTIAL, Evaluation, LossSpec, evaluate, output_margins
-from .models import InitSpec, ModelSpec, init_params, save_checkpoint
+from .models import (FAN_IN_UNIFORM, LINEAR, TWO_LAYER_RELU, InitSpec, ModelSpec,
+                     init_params, save_checkpoint)
 from .norms import NormSpec
 from .optimizers import (AdamMethod, OptimizerSpec, OptimizerState,
                          ShampooMethod, SteepestMethod, apply_switch, take_step)
@@ -83,7 +86,7 @@ class RunConfig:
     data: DataSource
     epochs: int
     log_every: int
-    diagnostics_norms: tuple[NormSpec, ...]
+    diagnostics_norm: NormSpec      # the algorithm norm the diagnostics use
     seed: int = 0
     output_dir: Optional[str] = None
     strict: bool = False
@@ -93,9 +96,6 @@ class RunConfig:
             raise ConfigError("epochs must be >= 1")
         if not (1 <= self.log_every <= self.epochs):
             raise ConfigError("log_every must satisfy 1 <= log_every <= epochs")
-        if len(self.diagnostics_norms) != 1:
-            raise ConfigError("diagnostics_norms takes exactly one norm, "
-                              "the algorithm's")
 
 
 @dataclass
@@ -169,7 +169,7 @@ def evaluate_accuracy(model: ModelSpec, theta: ParamVector, data) -> float:
 def _build_row(step: int, config: RunConfig, ev: Evaluation, rep: MarginReport,
                test: Optional[Dataset], t0_known: bool,
                gamma_tilde_t0: Optional[float], frozen: bool) -> LogRow:
-    algo = config.diagnostics_norms[0]
+    algo = config.diagnostics_norm
     row = LogRow(
         step=step,
         log_loss=rep.log_loss,
@@ -238,7 +238,7 @@ def run_training(config: RunConfig, train: Optional[Dataset] = None,
             raise DivergenceError(step, "non-finite loss")
 
         if logged:
-            rep = margin_report(ev, config.diagnostics_norms[0])
+            rep = margin_report(ev, config.diagnostics_norm)
             if log.t0_step is None and detect_separation(ev.log_loss, loss):
                 log.t0_step = step
                 # freeze gamma_tilde(t0) before the row's bounds are formed
@@ -434,23 +434,13 @@ def emit_svg(log: RunLog, metrics, axes: Optional[dict] = None, path=None,
 # Flat key/value run-configuration files
 
 
-_NORM_ALIASES = {"l1": NormSpec.l1, "l2": NormSpec.l2, "linf": NormSpec.linf,
-                 "spectral": NormSpec.spectral}
-
-
 def parse_norm(text: str) -> NormSpec:
+    """``l1``, ``l2``, ``linf``, ``spectral`` or ``modular:<b1>,<b2>,...``."""
     text = text.strip().lower()
     if text.startswith("modular:"):
-        parts = [p.strip() for p in text[len("modular:"):].split(",") if p.strip()]
-        blocks = []
-        for p in parts:
-            if p not in _NORM_ALIASES:
-                raise ConfigError(f"unknown block norm {p!r}")
-            blocks.append(_NORM_ALIASES[p]())
-        return NormSpec.modular(blocks)
-    if text not in _NORM_ALIASES:
-        raise ConfigError(f"unknown norm {text!r}")
-    return _NORM_ALIASES[text]()
+        return NormSpec.modular([parse_norm(block) for block in
+                                 text[len("modular:"):].split(",") if block.strip()])
+    return NormSpec(text)
 
 
 def _parse_scalar(text: str):
@@ -460,14 +450,11 @@ def _parse_scalar(text: str):
     low = text.lower()
     if low in ("true", "false"):
         return low == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
+    for number in (int, float):
+        try:
+            return number(text)
+        except ValueError:
+            pass
     return text
 
 
@@ -489,134 +476,145 @@ def read_flat_config(path) -> dict:
     return values
 
 
-def _flag(v: dict, key: str) -> bool:
-    """A boolean key: only a parsed true/false (a Python bool) is accepted."""
-    value = v.get(key, False)
+def _flag(key: str, value) -> bool:
+    """true or false: only a parsed true/false (a Python bool) is accepted."""
     if not isinstance(value, bool):
         raise ConfigError(f"{key} must be true or false, got {value!r}")
     return value
 
 
-def _integer(v: dict, key: str, default: Optional[int] = None) -> int:
-    """An integer key (required without a ``default``): an int or an
-    integral float such as 1e3; a bool or a fraction is not truncated."""
-    value = v[key] if default is None else v.get(key, default)
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+def _integer(key: str, value) -> int:
+    """An int or an integral float such as 1e3; not a bool or a fraction."""
+    try:
+        if not (isinstance(value, bool)
+                or isinstance(value, float) and not value.is_integer()):
+            return int(value)
+    except (TypeError, ValueError):          # int("abc")
+        pass
+    raise ConfigError(f"{key} must be an integer, got {value!r}")
 
 
-def _real(v: dict, key: str, default: float) -> float:
-    """A real-valued key, as a float: a number, not a bool read as 0 or 1."""
-    value = v.get(key, default)
+def _real(key: str, value) -> float:
+    """A number, as a float; a bool is not read as 0 or 1."""
+    try:
+        if not isinstance(value, bool):
+            return float(value)
+    except (TypeError, ValueError, OverflowError):   # float("abc"), float(10**400)
+        pass
+    raise ConfigError(f"{key} must be a number, got {value!r}")
+
+
+def _text(key: str, value) -> str:
+    """A path or a name: text, or a number read as its text; not a bool."""
     if isinstance(value, bool):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
+        raise ConfigError(f"{key} must be a path or name, got {value!r}")
+    return str(value)
 
 
-def _optimizer_from_values(v: dict, prefix: str = "") -> OptimizerSpec:
-    kind = str(v.get(prefix + "optimizer", "steepest")).lower()
-    eta = _real(v, prefix + "step_size", _real(v, "step_size", 1e-2))
+def _norm(key: str, value) -> NormSpec:
+    return parse_norm(str(value))
+
+
+def _choice(*names: str):
+    """The rule of a key that takes one of ``names``, in any case."""
+    def parse(key: str, value) -> str:
+        if str(value).lower() not in names:
+            raise ConfigError(f"{key} must be one of {', '.join(names)}, got {value!r}")
+        return str(value).lower()
+    return parse
+
+
+_OPTIMIZER_KIND = _choice("steepest", "adam", "shampoo")
+
+# Each config key's parser and default, grouped as the README lists them. A
+# None default is an absent key: required where a branch reads it with
+# p[key], optional where with p.get(key).
+_TABLE = {
+    "model": {"model_kind": (_choice(LINEAR, TWO_LAYER_RELU), TWO_LAYER_RELU),
+              "input_dim": (_integer, None), "width": (_integer, None),
+              "freeze_second_layer": (_flag, False)},
+    "init": {"init_scale": (_real, 0.01), "init_scheme": (_text, FAN_IN_UNIFORM),
+             "init_seed": (_integer, 0)},
+    "loss": {"loss": (_text, EXPONENTIAL)},
+    "optimizer": {"optimizer": (_OPTIMIZER_KIND, "steepest"),
+                  "norm": (_norm, NormSpec.l2()), "normalized": (_flag, False),
+                  "step_size": (_real, 1e-2), "beta1": (_real, 0.9),
+                  "beta2": (_real, 0.999), "adam_eps": (_real, 1e-8),
+                  "shampoo_eps_reg": (_real, 0.0)},
+    # an absent switch_norm or switch_step_size is the main optimizer's
+    "switch rule": {"switch_to": (_OPTIMIZER_KIND, None),
+                    "switch_norm": (_norm, None),
+                    "switch_normalized": (_flag, False),
+                    "switch_step_size": (_real, None)},
+    "data": {"data_kind": (_choice("teacher", "dataset", "idx"), "teacher"),
+             "teacher_k": (_integer, 4), "teacher_active": (_integer, 3),
+             "teacher_weight_scale": (_real, 1.0), "teacher_seed": (_integer, 1),
+             "train_m": (_integer, None), "test_m": (_integer, 0),
+             "data_seed": (_integer, None), "dataset_path": (_text, None),
+             "idx_images": (_text, None), "idx_labels": (_text, None),
+             "digit_a": (_integer, 3), "digit_b": (_integer, 6)},
+    # an absent log_every is epochs/1000
+    "run": {"epochs": (_integer, None), "log_every": (_integer, None),
+            "diagnostics_norms": (_norm, NormSpec.l2()), "seed": (_integer, 0),
+            "output_dir": (_text, None), "strict": (_flag, False)},
+}
+_KEYS = {key: rule for group in _TABLE.values() for key, rule in group.items()}
+CONFIG_KEYS = frozenset(_KEYS)
+
+
+def _optimizer(kind: str, norm: NormSpec, normalized: bool, step_size: float,
+               p: dict) -> OptimizerSpec:
+    """The optimizer ``kind``; Adam and Shampoo read their constants from ``p``."""
     if kind == "steepest":
-        method = SteepestMethod(
-            norm=parse_norm(str(v.get(prefix + "norm", "l2"))),
-            normalized=_flag(v, prefix + "normalized"))
+        method = SteepestMethod(norm, normalized)
     elif kind == "adam":
-        method = AdamMethod(beta1=_real(v, prefix + "beta1", 0.9),
-                            beta2=_real(v, prefix + "beta2", 0.999),
-                            eps=_real(v, prefix + "adam_eps", 1e-8))
-    elif kind == "shampoo":
-        method = ShampooMethod(eps_reg=_real(v, prefix + "shampoo_eps_reg", 0.0))
+        method = AdamMethod(p["beta1"], p["beta2"], p["adam_eps"])
     else:
-        raise ConfigError(f"unknown optimizer {kind!r}")
-    return OptimizerSpec(method=method, step_size=eta)
-
-
-CONFIG_KEYS = frozenset("""
-    model_kind input_dim width freeze_second_layer init_scale init_scheme
-    init_seed loss optimizer norm normalized step_size beta1 beta2 adam_eps
-    shampoo_eps_reg switch_to switch_norm switch_normalized switch_step_size
-    data_kind teacher_k teacher_active teacher_weight_scale teacher_seed
-    train_m test_m data_seed dataset_path idx_images idx_labels digit_a digit_b
-    epochs log_every diagnostics_norms seed output_dir strict""".split())
+        method = ShampooMethod(p["shampoo_eps_reg"])
+    return OptimizerSpec(method=method, step_size=step_size)
 
 
 def config_from_values(values: dict, output_dir: Optional[str] = None) -> RunConfig:
     """Build a RunConfig from flat key/value pairs (``CONFIG_KEYS``, listed
-    in the README); any other key is a ``ConfigError``."""
+    in the README). Every key present is parsed by its rule, whether or not
+    the config uses it; an unknown key or a malformed value is a
+    ``ConfigError``. An ``output_dir`` argument wins over the key."""
     unknown = sorted(set(values) - CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config key(s) {', '.join(unknown)}")
-    v = dict(values)
+    p = {key: default for key, (_, default) in _KEYS.items() if default is not None}
+    p.update((key, _KEYS[key][0](key, value)) for key, value in values.items())
     try:
-        model_kind = str(v.get("model_kind", "two_layer_relu"))
-        input_dim = _integer(v, "input_dim")
-        if model_kind == "linear":
-            model = ModelSpec.linear(input_dim)
-        else:
-            model = ModelSpec.two_layer_relu(
-                input_dim, _integer(v, "width"),
-                _flag(v, "freeze_second_layer"))
-        init = InitSpec(scale=_real(v, "init_scale", 0.01),
-                        scheme=str(v.get("init_scheme", "fan_in_uniform")),
-                        seed=_integer(v, "init_seed", 0))
-        loss = LossSpec(str(v.get("loss", "exponential")))
-
-        optimizer = _optimizer_from_values(v)
-        if v.get("switch_to"):
-            sw_values = {"optimizer": v["switch_to"],
-                         "norm": v.get("switch_norm", v.get("norm", "l2")),
-                         "normalized": _flag(v, "switch_normalized"),
-                         "step_size": _real(v, "switch_step_size",
-                                            _real(v, "step_size", 1e-2)),
-                         "beta1": _real(v, "beta1", 0.9),
-                         "beta2": _real(v, "beta2", 0.999),
-                         "adam_eps": _real(v, "adam_eps", 1e-8),
-                         "shampoo_eps_reg": _real(v, "shampoo_eps_reg", 0.0)}
-            optimizer = replace(optimizer,
-                                switch_to=_optimizer_from_values(sw_values))
-
-        data_kind = str(v.get("data_kind", "teacher"))
-        if data_kind == "teacher":
-            teacher = TeacherSpec(
-                input_dim=input_dim,
-                width=_integer(v, "teacher_k", 4),
-                active_per_neuron=_integer(v, "teacher_active", 3),
-                weight_scale=_real(v, "teacher_weight_scale", 1.0),
-                seed=_integer(v, "teacher_seed", 1))
-            data = DataSource(kind="teacher", teacher=teacher,
-                              train_m=_integer(v, "train_m"),
-                              data_seed=(_integer(v, "data_seed")
-                                         if "data_seed" in v else None),
-                              test_m=_integer(v, "test_m", 0))
-        elif data_kind == "dataset":
-            data = DataSource(kind="dataset", dataset_path=str(v["dataset_path"]))
-        elif data_kind == "idx":
-            data = DataSource(kind="idx", idx_images=str(v["idx_images"]),
-                              idx_labels=str(v["idx_labels"]),
-                              digit_a=_integer(v, "digit_a", 3),
-                              digit_b=_integer(v, "digit_b", 6),
-                              train_m=_integer(v, "train_m"))
-        else:
-            raise ConfigError(f"unknown data kind {data_kind!r}")
-
-        epochs = _integer(v, "epochs")
-        log_every = _integer(v, "log_every", max(1, epochs // 1000))
-        # one norm; a comma list ("linf,l2") is an unknown norm, while
-        # "modular:l2,l1" stays one norm
-        diag = (parse_norm(str(v.get("diagnostics_norms", "l2"))),)
-        out_dir = output_dir or v.get("output_dir")
-        out_dir = os.environ.get("STEEPDESC_OUTPUT_DIR", out_dir) or None
-        return RunConfig(model=model, init=init, loss=loss, optimizer=optimizer,
-                         data=data, epochs=epochs, log_every=log_every,
-                         diagnostics_norms=diag, seed=_integer(v, "seed", 0),
-                         output_dir=out_dir, strict=_flag(v, "strict"))
+        input_dim, kind = p["input_dim"], p["data_kind"]
+        model = (ModelSpec.linear(input_dim) if p["model_kind"] == LINEAR else
+                 ModelSpec.two_layer_relu(input_dim, p["width"],
+                                          p["freeze_second_layer"]))
+        optimizer = _optimizer(p["optimizer"], p["norm"], p["normalized"],
+                               p["step_size"], p)
+        if "switch_to" in p:
+            optimizer = replace(optimizer, switch_to=_optimizer(
+                p["switch_to"], p.get("switch_norm", p["norm"]),
+                p["switch_normalized"], p.get("switch_step_size", p["step_size"]), p))
+        teacher = (TeacherSpec(input_dim, p["teacher_k"], p["teacher_active"],
+                               p["teacher_weight_scale"], p["teacher_seed"])
+                   if kind == "teacher" else None)
+        data = DataSource(kind, teacher, train_m=p.get("train_m", 0),
+                          data_seed=p.get("data_seed"), test_m=p["test_m"],
+                          dataset_path=p.get("dataset_path"),
+                          idx_images=p.get("idx_images"),
+                          idx_labels=p.get("idx_labels"),
+                          digit_a=p["digit_a"], digit_b=p["digit_b"])
+        epochs = p["epochs"]
+        return RunConfig(model=model, loss=LossSpec(p["loss"]),
+                         init=InitSpec(p["init_scale"], p["init_scheme"],
+                                       p["init_seed"]),
+                         optimizer=optimizer, data=data, epochs=epochs,
+                         log_every=p.get("log_every", max(1, epochs // 1000)),
+                         diagnostics_norm=p["diagnostics_norms"], seed=p["seed"],
+                         output_dir=output_dir or p.get("output_dir") or None,
+                         strict=p["strict"])
     except KeyError as exc:
         raise ConfigError(f"missing config key {exc.args[0]!r}") from exc
-    except ConfigError:
-        raise
-    except (ValueError, OverflowError) as exc:   # e.g. int("x")
-        raise ConfigError(f"malformed config value: {exc}") from exc
 
 
 def load_config(path) -> RunConfig:

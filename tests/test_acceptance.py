@@ -66,7 +66,7 @@ def run_on(train, norm, normalized, eta, steps, init_scale, log_every,
                                 step_size=eta),
         data=DataSource(kind="dataset", dataset_path="unused"),
         epochs=steps, log_every=log_every,
-        diagnostics_norms=(norm,), seed=0)
+        diagnostics_norm=norm, seed=0)
     return run_training(config, train=train)
 
 
@@ -259,7 +259,7 @@ def test_criterion_09_linear_oracle_match():
                                     step_size=0.05),
             data=DataSource(kind="dataset", dataset_path="unused"),
             epochs=4000, log_every=400,
-            diagnostics_norms=(norm,), seed=0)
+            diagnostics_norm=norm, seed=0)
         log = run_training(config, train=train)
         ratios[name] = log.rows[-1].gamma_algo / oracle.gamma_star
         assert ratios[name] >= 0.98, f"{name}: {ratios[name]:.4f} of gamma*"
@@ -311,7 +311,7 @@ def test_criterion_11_reproducibility(tmp_path):
                                                 active_per_neuron=2, seed=4),
                             train_m=16, test_m=8),
             epochs=400, log_every=100,
-            diagnostics_norms=(NormSpec.l2(),), seed=9)
+            diagnostics_norm=NormSpec.l2(), seed=9)
         emit_csv(run_training(config), path)
         return path.read_bytes()
 

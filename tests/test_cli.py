@@ -170,6 +170,29 @@ class TestTrainCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (out / "run.csv").exists()
 
+    @pytest.mark.parametrize("lines", [
+        "data_seed = true\nteacher_k = 3.7\ntrain_m = abc",
+        TEACHER + "switch_step_size = abc\nswitch_norm = nosuch\ndigit_a = 2.5",
+        "output_dir = true",
+    ], ids=["dataset run", "teacher run", "boolean output_dir"])
+    def test_malformed_unused_or_path_value_exits_1(self, tmp_path, toy_dataset,
+                                                    capsys, lines):
+        """Every key present is parsed, whether or not the run reads it."""
+        cfg, out = write_config(tmp_path, toy_dataset)
+        cfg.write_text(cfg.read_text() + lines + "\n")
+        assert cli_main(["train", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(tmp_path.rglob("run.csv"))
+
+    def test_output_dir_option_wins_over_the_environment(self, tmp_path,
+                                                         toy_dataset, monkeypatch):
+        monkeypatch.setenv("STEEPDESC_OUTPUT_DIR", str(tmp_path / "envdir"))
+        cfg, out = write_config(tmp_path, toy_dataset)
+        arg = tmp_path / "arg"
+        assert cli_main(["train", "--config", str(cfg), "--output-dir", str(arg)]) == 0
+        assert (arg / "run.csv").exists()
+        assert not (tmp_path / "envdir").exists() and not out.exists()
+
     def test_misspelt_key_exits_1(self, tmp_path, toy_dataset, capsys):
         cfg, out = write_config(tmp_path, toy_dataset)
         cfg.write_text(cfg.read_text() + "step_sise = 5.0\n")
@@ -380,6 +403,30 @@ diagnostics_norms = l2
         first = [line.split(",")[:2] for line in lines[1:]]
         assert first == [["1", "0.01"], ["1", "0.05"], ["2", "0.01"],
                          ["2", "0.05"]]
+
+    def test_one_directory_per_run_whatever_the_environment(self, tmp_path,
+                                                            toy_dataset,
+                                                            monkeypatch):
+        monkeypatch.setenv("STEEPDESC_OUTPUT_DIR", str(tmp_path / "envdir"))
+        cfg, _ = write_config(tmp_path, toy_dataset)
+        out = tmp_path / "sweep"
+        assert cli_main(["sweep", "--config", str(cfg), "--seeds", "1,2",
+                         "--output-dir", str(out)]) == 0
+        for seed in (1, 2):
+            assert (out / f"seed{seed}_scale0.05" / "run.csv").exists()
+        assert not (tmp_path / "envdir").exists()
+
+    @pytest.mark.parametrize("grid", [["--seeds", "1,x"], ["--seeds", "1.5"],
+                                      ["--seeds", "1", "--scales", "0.1,abc"],
+                                      ["--seeds", "1", "--scales", "0.05,nan"]])
+    def test_malformed_grid_entry_exits_1(self, tmp_path, toy_dataset, capsys,
+                                          grid):
+        cfg, _ = write_config(tmp_path, toy_dataset)
+        out = tmp_path / "sweep"
+        assert cli_main(["sweep", "--config", str(cfg), *grid,
+                         "--output-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_unknown_subcommand_exits_nonzero(self):
         assert cli_main(["frobnicate"]) != 0

@@ -121,8 +121,7 @@ def run_digests(case: str, out: Path) -> dict:
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_digests_match_the_pins(case, tmp_path, monkeypatch):
-    monkeypatch.delenv("STEEPDESC_OUTPUT_DIR", raising=False)
+def test_digests_match_the_pins(case, tmp_path):
     assert run_digests(case, tmp_path / case) == GOLDEN[case]
 
 
@@ -133,7 +132,6 @@ def test_digests_do_not_depend_on_blas_threads(threads, tmp_path):
     src = str(Path(steepdesc.__file__).resolve().parent.parent)
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                PYTHONPATH=os.pathsep.join([src, str(Path(__file__).parent)]))
-    env.pop("STEEPDESC_OUTPUT_DIR", None)
     code = ("import json, sys; from pathlib import Path; "
             "from test_golden import run_digests; "
             "print(json.dumps(run_digests('desk_gd', Path(sys.argv[1]))))")

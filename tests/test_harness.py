@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from steepdesc.data import Dataset, save_dataset
 from steepdesc.errors import ConfigError, DivergenceError
-from steepdesc.harness import (ACCURACY_CHUNK, CONFIG_KEYS, CSV_COLUMNS,
-                               DataSource, RunConfig, config_from_values,
+from steepdesc.harness import (_KEYS, _TABLE, ACCURACY_CHUNK, CONFIG_KEYS,
+                               CSV_COLUMNS, DataSource, RunConfig, _flag,
+                               _integer, _real, _text, config_from_values,
                                emit_csv, emit_svg, evaluate_accuracy,
                                parse_norm, read_flat_config, run_training)
 from steepdesc.losses import LossSpec, output_margins
@@ -38,7 +39,7 @@ def toy_config(eta=0.05, epochs=5000, log_every=250, **overrides):
         optimizer=OptimizerSpec(SteepestMethod(NormSpec.l2()), step_size=eta),
         data=DataSource(kind="dataset", dataset_path="unused"),
         epochs=epochs, log_every=log_every,
-        diagnostics_norms=(NormSpec.l2(),), seed=1)
+        diagnostics_norm=NormSpec.l2(), seed=1)
     base.update(overrides)
     return RunConfig(**base)
 
@@ -52,7 +53,6 @@ class TestRunTraining:
                             lambda *a: calls.append(1) or evaluate(*a))
         values = read_flat_config(CONFIGS / "desk_sd.cfg")
         values.update(epochs=1000, log_every=50, test_m=0, output_dir="")
-        monkeypatch.delenv("STEEPDESC_OUTPUT_DIR", raising=False)
         log = run_training(config_from_values(values))
         assert log.freeze_step is not None and log.freeze_step < 1000
         logged_after = sum(r.step > log.freeze_step for r in log.rows)
@@ -248,16 +248,14 @@ seed = 7
         assert config.model.width == 8
         assert config.optimizer.method.norm.kind == "linf"
         assert config.optimizer.method.normalized is True
-        assert config.diagnostics_norms[0].kind == "linf"
+        assert config.diagnostics_norm.kind == "linf"
         assert config.seed == 7
 
     def test_one_diagnostics_norm(self):
-        with pytest.raises(ConfigError, match="exactly one norm"):
-            toy_config(diagnostics_norms=(NormSpec.l2(), NormSpec.linf()))
         values = {"input_dim": 2, "width": 4, "teacher_active": 2,
                   "train_m": 8, "epochs": 100,
                   "diagnostics_norms": "modular:l2,l1"}
-        (norm,) = config_from_values(values).diagnostics_norms
+        norm = config_from_values(values).diagnostics_norm
         assert norm == NormSpec.modular([NormSpec.l2(), NormSpec.l1()])
         with pytest.raises(ConfigError):
             config_from_values({**values, "diagnostics_norms": "l2,l1"})
@@ -290,9 +288,11 @@ switch_norm = l1
         section = next(part for part in readme.split("\n\n")
                        if part.startswith("- model:"))
         # drop the value lists and notes in parentheses, keep the key names
-        listed = set(re.findall(r"`([a-z_0-9]+)`",
-                                re.sub(r"\([^)]*\)", "", section)))
-        assert listed == CONFIG_KEYS
+        bullets = re.sub(r"\([^)]*\)", "", section).split("\n- ")
+        listed = {bullet.split(":")[0].lstrip("- ").strip():
+                  set(re.findall(r"`([a-z_0-9]+)`", bullet)) for bullet in bullets}
+        assert listed == {group: set(keys) for group, keys in _TABLE.items()}
+        assert set().union(*listed.values()) == CONFIG_KEYS
 
     @pytest.mark.parametrize("name", sorted(p.stem for p in
                                             (ROOT / "configs").glob("*.cfg")))
@@ -303,6 +303,25 @@ switch_norm = l1
         config_from_values({**values, "epochs": 500, "log_every": 1,
                             "test_m": 0, "switch_to": "shampoo", "seed": 2,
                             "output_dir": "out"})
+
+    def test_output_dir_is_the_argument_then_the_key(self, monkeypatch):
+        monkeypatch.setenv("STEEPDESC_OUTPUT_DIR", "envdir")
+        values = {**MINIMAL_VALUES, "output_dir": 5}
+        assert config_from_values(values).output_dir == "5"
+        assert config_from_values(values, output_dir="arg").output_dir == "arg"
+        assert config_from_values(MINIMAL_VALUES).output_dir is None
+
+    @pytest.mark.parametrize("key", sorted(CONFIG_KEYS))
+    def test_every_key_present_is_validated_used_or_not(self, key):
+        """A malformed value of a key is an error even where the config's
+        branch (a linear model on a dataset file, steepest descent, no
+        switch) does not read it."""
+        base = {"model_kind": "linear", "input_dim": 2, "data_kind": "dataset",
+                "dataset_path": "x.stpd", "epochs": 10}
+        config_from_values(base)
+        bad = {_integer: 2.5, _real: "abc", _flag: 7, _text: True}
+        with pytest.raises(ConfigError):
+            config_from_values({**base, key: bad.get(_KEYS[key][0], "nosuch")})
 
     def test_missing_key_clear_error(self):
         with pytest.raises(ConfigError, match="input_dim"):

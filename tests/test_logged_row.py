@@ -401,7 +401,7 @@ def test_one_row_computes_each_quantity_once(monkeypatch, freeze, vectors):
 
     monkeypatch.setattr(ParamVector, "__post_init__", counted_post_init)
     monkeypatch.setattr(ParamVector, "dot_flat", spied_dot_flat)
-    config = SimpleNamespace(diagnostics_norms=(algo,))
+    config = SimpleNamespace(diagnostics_norm=algo)
     rep = margin_report(ev, algo)
     row = harness._build_row(5, config, ev, rep, None, True, 0.5, False)
     assert row.kkt_eps is not None and row.bregman_bound is not None
