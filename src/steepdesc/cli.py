@@ -115,32 +115,18 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _report_json(report) -> dict:
-    out = {}
-    for key, value in dataclasses.asdict(report).items():
-        if isinstance(value, np.ndarray):
-            out[key] = value.tolist()
-        elif isinstance(value, dict):
-            out[key] = {k: float(v) for k, v in value.items()}
-        elif value is None or isinstance(value, (bool, str)):
-            out[key] = value
-        else:
-            out[key] = float(value)
-    return out
-
-
 def _cmd_diagnose(args) -> int:
     model, theta = load_checkpoint(args.checkpoint)
     ds = data_mod.load_dataset(args.data)
     norm = parse_norm(args.norm)
     ev = evaluate(LossSpec(args.loss), model, theta, ds)
-    payload = {"margin_report": _report_json(margin_report(ev, norm))}
+    rep = margin_report(ev, norm)
     try:
-        payload["kkt_report"] = _report_json(kkt_residuals(
-            ev, norm, gamma_tilde_t0=args.gamma_tilde_t0))
+        kkt = dataclasses.asdict(kkt_residuals(ev, rep, args.gamma_tilde_t0))
     except NotSeparatedError:
-        payload["kkt_report"] = None
-    text = json.dumps(payload, indent=2, sort_keys=True)
+        kkt = None
+    payload = {"margin_report": dataclasses.asdict(rep), "kkt_report": kkt}
+    text = json.dumps(payload, indent=2, sort_keys=True, default=np.ndarray.tolist)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:

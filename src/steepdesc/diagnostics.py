@@ -3,8 +3,9 @@
 All measurements treat the trainable blocks as the optimization variable;
 frozen blocks never enter a norm or an inner product. Multipliers and
 gradient magnitudes are carried in log-domain so the diagnostics stay
-exact long after individual loss terms underflow. A row's two reports share
-q_min, theta's norms, ||g_hat||* and the alignment (``Evaluation.row_measures``).
+exact long after individual loss terms underflow. ``margin_report`` takes a
+row's shared measures once (q_min, theta's norms, ||g_hat||* and the
+alignment) and ``kkt_residuals`` reads them from that report.
 
 Caveat: the theory's minimum-dual-norm subgradient is approximated by the
 fixed selections (relu'(0) = 0 for the network, deterministic tie-breaking
@@ -23,8 +24,13 @@ from .errors import NotSeparatedError, ZeroVectorError
 from .losses import (Evaluation, LossSpec, output_margins, phi_inverse,
                      separation_threshold)
 from .models import ModelSpec, weighted_subgradient_sum
-from .norms import NormSpec, _dual, _l2, _subgradient, dual_norm_value
+from .norms import (NormSpec, _dual, _l2, _subgradient, dual_norm_value,
+                    norm_value)
 from .params import ParamVector
+
+# the parameter norms every logged row reports, besides the algorithm's own
+_REPORTED_NORMS = {spec.label(): spec for spec in (
+    NormSpec.l1(), NormSpec.l2(), NormSpec.linf(), NormSpec.spectral())}
 
 
 @dataclass(frozen=True)
@@ -34,7 +40,9 @@ class MarginReport:
     ``gamma_1``, ``gamma_2``, ``gamma_inf`` divide the worst output margin
     by the l-infinity, l2, and l1 parameter norms raised to the
     homogeneity degree; ``gamma_sigma`` uses the per-block spectral norm;
-    ``gamma_algo`` and ``soft_margin`` use the algorithm's own norm.
+    ``gamma_algo`` and ``soft_margin`` use the algorithm's own norm
+    ``algo_norm``, under which ``grad_dual`` is ||g_hat||*, the dual norm
+    of the scaled loss subgradient.
     """
 
     q_min: float
@@ -48,6 +56,8 @@ class MarginReport:
     log_loss: float
     alignment: float
     separated: bool
+    algo_norm: NormSpec
+    grad_dual: float
 
 
 @dataclass(frozen=True)
@@ -79,12 +89,24 @@ def detect_separation(log_loss_value: float, loss: LossSpec) -> bool:
 
 
 def margin_report(ev: Evaluation, algo_norm: NormSpec) -> MarginReport:
-    """All margin diagnostics at the evaluated point; requires theta != 0."""
-    q_min, norms, algo_theta_norm, _, align = ev.row_measures(algo_norm)
+    """All margin diagnostics at the evaluated point; requires theta != 0.
+
+    The alignment is -<theta, g_hat> / (||theta|| ||g_hat||*) under
+    ``algo_norm``, NaN when g_hat is zero.
+    """
+    theta, g_hat = ev.theta, ev.subgradient[0]
+    norms = {name: norm_value(spec, theta) for name, spec in _REPORTED_NORMS.items()}
+    label = algo_norm.label()
+    if label not in norms:
+        norms[label] = norm_value(algo_norm, theta)
+    algo_theta_norm = norms[label]
     if algo_theta_norm == 0.0:
         raise ZeroVectorError("margin_report is undefined at theta = 0")
+    dual = dual_norm_value(algo_norm, g_hat)
+    align = (math.nan if dual == 0.0 else
+             -theta.dot_flat(g_hat.trainable_flat()) / (algo_theta_norm * dual))
+    q_min = float(ev.q.min())
     degree = ev.model.homogeneity_degree
-    norms = {**norms, algo_norm.label(): algo_theta_norm}
 
     try:
         soft = phi_inverse(ev.loss, -ev.log_loss) / algo_theta_norm**degree
@@ -103,6 +125,8 @@ def margin_report(ev: Evaluation, algo_norm: NormSpec) -> MarginReport:
         log_loss=ev.log_loss,
         alignment=align,
         separated=detect_separation(ev.log_loss, ev.loss),
+        algo_norm=algo_norm,
+        grad_dual=dual,
     )
 
 
@@ -138,9 +162,10 @@ def _bregman(dual_y: float, dual_z: float, inner: float) -> float:
     return 0.5 * dual_y * dual_y - 0.5 * dual_z * dual_z - inner
 
 
-def kkt_residuals(ev: Evaluation, algo_norm: NormSpec,
+def kkt_residuals(ev: Evaluation, rep: MarginReport,
                   gamma_tilde_t0: Optional[float] = None) -> KKTReport:
-    """Residuals of the rescaled iterate against the max-margin conditions.
+    """Residuals of the rescaled iterate against the max-margin conditions,
+    under the algorithm norm of ``rep``, the ``margin_report`` of ``ev``.
 
     Multipliers follow lambda_i = (||theta|| / ||g||*) q_min^{1-2/L} w_i
     with w_i the per-example loss weight, computed entirely in log-domain.
@@ -151,9 +176,8 @@ def kkt_residuals(ev: Evaluation, algo_norm: NormSpec,
     prefix.
     """
     degree = ev.model.homogeneity_degree
-    q_min, _, theta_norm, dual_hat, align = ev.row_measures(algo_norm)
-    if theta_norm == 0.0:
-        raise ZeroVectorError("kkt_residuals is undefined at theta = 0")
+    algo_norm, q_min, dual_hat = rep.algo_norm, rep.q_min, rep.grad_dual
+    theta_norm = rep.param_norms[algo_norm.label()]
     if q_min <= 0.0:
         raise NotSeparatedError(f"q_min = {q_min} <= 0: not separated")
 
@@ -183,7 +207,7 @@ def kkt_residuals(ev: Evaluation, algo_norm: NormSpec,
     bregman_bound = delta_bound = None
     if gamma_tilde_t0 is not None and gamma_tilde_t0 > 0.0:
         gt0 = gamma_tilde_t0 ** (2.0 / degree)
-        bregman_bound = (1.0 - align) / gt0
+        bregman_bound = (1.0 - rep.alignment) / gt0
         delta_bound = len(ev.q) / (math.e * gt0 * degree * (-ev.log_loss))
 
     return KKTReport(log_lambda=log_lambda, eps=eps, delta=delta,

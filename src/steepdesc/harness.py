@@ -28,8 +28,7 @@ import numpy as np
 
 from .data import (Dataset, TeacherSpec, gen_teacher, load_dataset, load_idx,
                    sample_dataset)
-from .diagnostics import (MarginReport, detect_separation, kkt_residuals,
-                          margin_report)
+from .diagnostics import MarginReport, kkt_residuals, margin_report
 from .errors import ConfigError, DivergenceError, InvariantViolation
 from .losses import EXPONENTIAL, Evaluation, LossSpec, evaluate, output_margins
 from .models import (FAN_IN_UNIFORM, LINEAR, TWO_LAYER_RELU, InitSpec, ModelSpec,
@@ -166,10 +165,9 @@ def evaluate_accuracy(model: ModelSpec, theta: ParamVector, data) -> float:
     return float((q > 0.0).mean())
 
 
-def _build_row(step: int, config: RunConfig, ev: Evaluation, rep: MarginReport,
+def _build_row(step: int, ev: Evaluation, rep: MarginReport,
                test: Optional[Dataset], t0_known: bool,
                gamma_tilde_t0: Optional[float], frozen: bool) -> LogRow:
-    algo = config.diagnostics_norm
     row = LogRow(
         step=step,
         log_loss=rep.log_loss,
@@ -190,11 +188,11 @@ def _build_row(step: int, config: RunConfig, ev: Evaluation, rep: MarginReport,
         norm_linf=rep.param_norms["linf"],
         norm_spec=rep.param_norms["spectral"],
         gamma_algo=rep.gamma_algo,
-        norm_algo=rep.param_norms[algo.label()],
+        norm_algo=rep.param_norms[rep.algo_norm.label()],
         frozen=frozen,
     )
     if t0_known and rep.q_min > 0.0:
-        kkt = kkt_residuals(ev, algo, gamma_tilde_t0=gamma_tilde_t0)
+        kkt = kkt_residuals(ev, rep, gamma_tilde_t0=gamma_tilde_t0)
         row.kkt_eps = kkt.eps
         row.kkt_delta = kkt.delta
         row.bregman_gap = kkt.bregman_gap
@@ -239,12 +237,12 @@ def run_training(config: RunConfig, train: Optional[Dataset] = None,
 
         if logged:
             rep = margin_report(ev, config.diagnostics_norm)
-            if log.t0_step is None and detect_separation(ev.log_loss, loss):
+            if log.t0_step is None and rep.separated:
                 log.t0_step = step
                 # freeze gamma_tilde(t0) before the row's bounds are formed
                 log.gamma_tilde_t0 = rep.soft_margin
-                opt_spec, state = apply_switch(opt_spec, state, True)
-            log.rows.append(_build_row(step, config, ev, rep, test,
+                opt_spec, state = apply_switch(opt_spec, state)
+            log.rows.append(_build_row(step, ev, rep, test,
                                        log.t0_step is not None,
                                        log.gamma_tilde_t0, frozen))
 
@@ -341,10 +339,10 @@ def emit_csv(log: RunLog, path) -> None:
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
                "#8c564b", "#17becf", "#7f7f7f")
+_SVG_WIDTH, _SVG_HEIGHT = 800, 500
 
 
-def emit_svg(log: RunLog, metrics, axes: Optional[dict] = None, path=None,
-             width: int = 800, height: int = 500) -> str:
+def emit_svg(log: RunLog, metrics, axes: Optional[dict] = None, path=None) -> str:
     """Self-contained SVG line chart of logged metrics against step.
 
     ``axes`` maps "x"/"y" to "linear" or "log"; points that cannot be
@@ -357,7 +355,7 @@ def emit_svg(log: RunLog, metrics, axes: Optional[dict] = None, path=None,
     if not log.rows:
         raise ValueError("emit_svg: empty run log")
 
-    margin = 60
+    margin, width, height = 60, _SVG_WIDTH, _SVG_HEIGHT
     series = {}
     for name in metrics:
         pts = []

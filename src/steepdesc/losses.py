@@ -11,20 +11,17 @@ per-example weights, multipliers) is carried as logarithms:
 ``log_loss`` is exact in log-domain even when every term underflows;
 ``evaluate`` computes margins, log-weights, log-loss and the subgradient
 exp(log_scale) * g_hat (g_hat well-conditioned) once per point, from the
-hidden layer the forward pass left. A logged row's measures of the point are
-taken once, on first use, and kept on its ``Evaluation`` (``row_measures``).
+hidden layer the forward pass left.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .models import ModelSpec, forward_batch, hidden_subgradient_sum
-from .norms import NormSpec, dual_norm_value, norm_value
 from .params import ParamVector
 
 EXPONENTIAL = "exponential"
@@ -125,11 +122,6 @@ def phi_prime(loss: LossSpec, u):
     return float(out) if out.ndim == 0 else out
 
 
-# the parameter norms every logged row reports, besides the algorithm's own
-_REPORTED_NORMS = {spec.label(): spec for spec in (
-    NormSpec.l1(), NormSpec.l2(), NormSpec.linf(), NormSpec.spectral())}
-
-
 @dataclass(eq=False, slots=True)
 class Evaluation:
     """Margins ``q``, log-weights ``logw``, ``log_loss`` and the loss
@@ -149,24 +141,6 @@ class Evaluation:
     logw: np.ndarray
     log_loss: float
     subgradient: tuple[ParamVector, float]
-    _row: Optional[tuple] = field(default=None, init=False, repr=False)
-
-    def row_measures(self, norm: NormSpec) -> tuple[float, dict, float, float, float]:
-        """A logged row's measures, once per point and algorithm ``norm``: q_min,
-        theta's l1/l2/linf/spectral norms by label, and under ``norm`` ||theta||,
-        ||g_hat||* and the alignment -<theta, g_hat> / (||theta|| ||g_hat||*)."""
-        if self._row is None or self._row[0] is not norm:
-            norms = {label: norm_value(spec, self.theta)
-                     for label, spec in _REPORTED_NORMS.items()}
-            theta_norm = norms.get(norm.kind)
-            if theta_norm is None:
-                theta_norm = norm_value(norm, self.theta)
-            g_hat = self.subgradient[0]
-            dual = dual_norm_value(norm, g_hat)
-            align = (math.nan if dual == 0.0 or theta_norm == 0.0 else
-                     -self.theta.dot_flat(g_hat.trainable_flat()) / (theta_norm * dual))
-            self._row = (norm, float(self.q.min()), norms, theta_norm, dual, align)
-        return self._row[1:]
 
 
 def evaluate(loss: LossSpec, model: ModelSpec, theta: ParamVector, data,

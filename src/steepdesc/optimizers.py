@@ -196,16 +196,15 @@ def step_shampoo(theta: ParamVector, g: ParamVector, state: OptimizerState,
     return theta.add_trainable(np.concatenate(deltas)), new_state
 
 
-def apply_switch(spec: OptimizerSpec, state: OptimizerState,
-                 separated: bool) -> tuple[OptimizerSpec, OptimizerState]:
-    """Resolve the at-separation switch rule.
+def apply_switch(spec: OptimizerSpec, state: OptimizerState
+                 ) -> tuple[OptimizerSpec, OptimizerState]:
+    """Resolve the switch rule at separation.
 
-    At the first call with ``separated`` true, returns the switched-to
-    spec with fresh accumulators; afterwards the returned spec has no rule
-    left, so further calls are no-ops. Without a rule, (spec, state) pass
-    through unchanged.
+    At the first call, returns the switched-to spec with fresh
+    accumulators; afterwards the returned spec has no rule left, so further
+    calls are no-ops. Without a rule, (spec, state) pass through unchanged.
     """
-    if spec.switch_to is not None and separated:
+    if spec.switch_to is not None:
         return spec.switch_to, OptimizerState.fresh()
     return spec, state
 

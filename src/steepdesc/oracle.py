@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import kkt_residuals
+from .diagnostics import kkt_residuals, margin_report
 from .errors import ConfigError
 from .losses import LossSpec, evaluate
 from .models import ModelSpec
@@ -157,6 +157,6 @@ def certify_kkt(model: ModelSpec, theta: ParamVector, data, algo_norm: NormSpec,
     Multipliers are formed with exponential-loss weights; propagates the
     not-separated error when q_min <= 0.
     """
-    report = kkt_residuals(evaluate(LossSpec.exponential(), model, theta, data),
-                           algo_norm)
+    ev = evaluate(LossSpec.exponential(), model, theta, data)
+    report = kkt_residuals(ev, margin_report(ev, algo_norm))
     return report.eps <= tol_eps and report.delta <= tol_delta

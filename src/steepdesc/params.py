@@ -70,15 +70,13 @@ class Layout:
 
 
 class ParamVector:
-    """A layout over a float64 buffer: a copy of ``blocks``, or ``buffer``."""
+    """A layout over a float64 buffer: a copy of ``blocks``."""
 
     __slots__ = ("layout", "buffer", "_blocks")
 
-    def __init__(self, blocks: Iterable, trainable: Sequence[bool] = (),
-                 buffer: Optional[np.ndarray] = None):
-        if buffer is None:
-            blocks = [np.asarray(b, dtype=np.float64) for b in blocks]
-            buffer = np.concatenate([a.ravel() for a in blocks] + [np.zeros(0)])
+    def __init__(self, blocks: Iterable, trainable: Sequence[bool] = ()):
+        blocks = [np.asarray(b, dtype=np.float64) for b in blocks]
+        buffer = np.concatenate([a.ravel() for a in blocks] + [np.zeros(0)])
         self.layout = Layout.of([b.shape for b in blocks], trainable)
         self.buffer, self._blocks = buffer, None
         self.__post_init__()

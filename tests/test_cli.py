@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -12,8 +13,11 @@ import pytest
 import steepdesc
 from steepdesc.cli import cli_main
 from steepdesc.data import export_csv, load_dataset
-from steepdesc.harness import load_config
-from steepdesc.models import InitSpec, ModelSpec, init_params, save_checkpoint
+from steepdesc.diagnostics import kkt_residuals, margin_report
+from steepdesc.harness import load_config, parse_norm
+from steepdesc.losses import LossSpec, evaluate
+from steepdesc.models import (InitSpec, ModelSpec, init_params, load_checkpoint,
+                              save_checkpoint)
 
 
 TOY_CONFIG = """
@@ -291,6 +295,33 @@ class TestDiagnoseCommand:
         assert "margin_report" in payload
         assert payload["margin_report"]["separated"] is True
         assert payload["kkt_report"]["eps"] >= 0.0
+
+    def test_every_report_field_is_printed(self, tmp_path, toy_dataset, capsys):
+        """Each MarginReport and KKTReport field, with the value an
+        in-process report at the checkpoint gives: the norm by its kind and
+        block norms, the multipliers as a list."""
+        cfg, out = write_config(tmp_path, toy_dataset)
+        assert cli_main(["train", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        norm = "modular:spectral,l2"
+        assert cli_main(["diagnose", "--checkpoint", str(out / "final.ckpt"),
+                         "--data", str(toy_dataset), "--norm", norm,
+                         "--gamma-tilde-t0", "0.5"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        model, theta = load_checkpoint(out / "final.ckpt")
+        ev = evaluate(LossSpec.exponential(), model, theta, load_dataset(toy_dataset))
+        rep = margin_report(ev, parse_norm(norm))
+        assert payload["margin_report"].pop("algo_norm") == {
+            "kind": "modular_max", "block_norms": [
+                {"kind": "spectral", "block_norms": []},
+                {"kind": "l2", "block_norms": []}]}
+        expected = {"margin_report": dataclasses.asdict(rep),
+                    "kkt_report": dataclasses.asdict(kkt_residuals(ev, rep, 0.5))}
+        del expected["margin_report"]["algo_norm"]
+        expected["kkt_report"]["log_lambda"] = expected["kkt_report"]["log_lambda"].tolist()
+        assert payload == expected
+        assert payload["margin_report"]["grad_dual"] > 0.0
+        assert None not in payload["kkt_report"].values()
 
     def test_report_file_output(self, tmp_path, toy_dataset):
         cfg, out = write_config(tmp_path, toy_dataset)

@@ -30,6 +30,12 @@ def linear_instance(theta_vals, X, y):
     return model, theta, Points(X, y)
 
 
+def l2_kkt(model, theta, data, gamma_tilde_t0=None):
+    """The KKT report at theta under the l2 norm, read from its margin report."""
+    ev = evaluate(EXP, model, theta, data)
+    return kkt_residuals(ev, margin_report(ev, NormSpec.l2()), gamma_tilde_t0)
+
+
 class TestMarginReport:
     def test_linear_l2_margin(self):
         model, theta, data = linear_instance([3.0, 4.0], [[1.0, 0.0]], [1.0])
@@ -169,7 +175,7 @@ class TestDetectSeparation:
 class TestKKTResiduals:
     def test_single_example_exact_stationarity(self):
         model, theta, data = linear_instance([2.0, 0.0], [[1.0, 0.0]], [1.0])
-        rep = kkt_residuals(evaluate(EXP, model, theta, data), NormSpec.l2())
+        rep = l2_kkt(model, theta, data)
         assert rep.eps == pytest.approx(0.0, abs=1e-14)
         assert rep.delta == pytest.approx(0.0, abs=1e-14)
         assert rep.lambdas[0] == pytest.approx(1.0, rel=1e-12)
@@ -177,27 +183,26 @@ class TestKKTResiduals:
     def test_symmetric_pair_at_max_margin_direction(self):
         model, theta, data = linear_instance(
             [1.3, 1.3], [[1.0, 1.0], [-1.0, -1.0]], [1.0, -1.0])
-        rep = kkt_residuals(evaluate(EXP, model, theta, data), NormSpec.l2())
+        rep = l2_kkt(model, theta, data)
         assert rep.eps <= 1e-8
         assert abs(rep.delta) <= 1e-14
 
     def test_off_direction_has_residual(self):
         model, theta, data = linear_instance(
             [1.0, 0.2], [[1.0, 1.0], [-1.0, -1.0]], [1.0, -1.0])
-        rep = kkt_residuals(evaluate(EXP, model, theta, data), NormSpec.l2())
+        rep = l2_kkt(model, theta, data)
         assert rep.eps > 1e-3
 
     def test_not_separated_rejected(self):
         model, theta, data = linear_instance([1.0, 0.0], [[-1.0, 0.0]], [1.0])
         with pytest.raises(NotSeparatedError):
-            kkt_residuals(evaluate(EXP, model, theta, data), NormSpec.l2())
+            l2_kkt(model, theta, data)
 
     def test_bounds_require_t0_margin(self):
         model, theta, data = linear_instance([2.0, 0.0], [[1.0, 0.0]], [1.0])
-        rep = kkt_residuals(evaluate(EXP, model, theta, data), NormSpec.l2())
+        rep = l2_kkt(model, theta, data)
         assert rep.bregman_bound is None and rep.delta_bound is None
-        rep = kkt_residuals(evaluate(EXP, model, theta, data), NormSpec.l2(),
-                            gamma_tilde_t0=0.5)
+        rep = l2_kkt(model, theta, data, gamma_tilde_t0=0.5)
         assert rep.bregman_bound is not None and rep.delta_bound is not None
         assert rep.bregman_gap <= rep.bregman_bound + 1e-8
 
@@ -211,13 +216,13 @@ class TestKKTResiduals:
             if output_margins(model, theta, data).min() <= 0:
                 continue
             hits += 1
-            rep = kkt_residuals(evaluate(EXP, model, theta, data), NormSpec.l2())
+            rep = l2_kkt(model, theta, data)
             assert rep.delta >= -1e-12
 
     def test_log_domain_survives_extreme_margins(self):
         model, theta, data = linear_instance(
             [900.0, 900.0], [[1.0, 1.0], [-1.0, -1.1]], [1.0, -1.0])
-        rep = kkt_residuals(evaluate(EXP, model, theta, data), NormSpec.l2())
+        rep = l2_kkt(model, theta, data)
         assert np.isfinite(rep.eps)
         assert np.isfinite(rep.log_lambda).all()
         assert rep.eps <= 0.2  # near the (1,1) direction
@@ -252,8 +257,7 @@ class TestOneNormPerRow:
 
         monkeypatch.setattr(norms, "_segments", spy)
         ev = evaluate(EXP, model, theta, data)
-        margin_report(ev, algo)
-        kkt_residuals(ev, algo, gamma_tilde_t0=1.0)
+        kkt_residuals(ev, margin_report(ev, algo), gamma_tilde_t0=1.0)
         # the l1, l2, linf, spectral and algorithm norms of theta, the dual
         # norm of g_hat, the norm and subgradient of the rescaled theta
         # (one pass), and the dual norms of s and k

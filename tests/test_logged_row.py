@@ -15,7 +15,6 @@ import dataclasses
 import math
 import struct
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -156,6 +155,8 @@ def ref_margin_report(ev, algo):
         log_loss=ev.log_loss,
         alignment=ref_alignment(ev, algo),
         separated=diagnostics.detect_separation(ev.log_loss, ev.loss),
+        algo_norm=algo,
+        grad_dual=ref_dual_norm_value(algo, ev.subgradient[0].trainable_view()),
     )
 
 
@@ -257,7 +258,7 @@ def bits(value):
         return {k: bits(v) for k, v in value.items()}
     if isinstance(value, np.ndarray):
         return value.dtype.str, value.shape, value.tobytes()
-    if value is None or isinstance(value, bool):
+    if value is None or isinstance(value, (bool, NormSpec)):
         return value
     return type(value), struct.pack("<d", value)
 
@@ -270,9 +271,10 @@ def assert_same_report(new, ref):
 def check_row(loss, model, theta, data, algo):
     ev_new = evaluate(loss, model, theta, data)
     ev_ref = evaluate(loss, model, theta, data)
-    assert_same_report(margin_report(ev_new, algo), ref_margin_report(ev_ref, algo))
+    rep = margin_report(ev_new, algo)
+    assert_same_report(rep, ref_margin_report(ev_ref, algo))
     for gamma in (None, 0.37):
-        assert_same_report(kkt_residuals(ev_new, algo, gamma),
+        assert_same_report(kkt_residuals(ev_new, rep, gamma),
                            ref_kkt_residuals(ev_ref, algo, gamma))
 
 
@@ -321,10 +323,13 @@ def test_reports_match_on_a_trained_desk_point(algo, desk_point):
 
 
 def test_kkt_rejects_theta_zero():
+    # kkt_residuals reads its norms from a MarginReport, and no report
+    # exists at theta = 0, so the KKT path stops before any residual forms
     model, theta, data = random_point(0, False, 1.0)
     zero = theta.like(np.zeros(theta.size))
+    ev = evaluate(EXP, model, zero, data)
     with pytest.raises(ZeroVectorError):
-        kkt_residuals(evaluate(EXP, model, zero, data), NormSpec.l2())
+        kkt_residuals(ev, margin_report(ev, NormSpec.l2()))
 
 
 # --- CSV bytes
@@ -401,9 +406,8 @@ def test_one_row_computes_each_quantity_once(monkeypatch, freeze, vectors):
 
     monkeypatch.setattr(ParamVector, "__post_init__", counted_post_init)
     monkeypatch.setattr(ParamVector, "dot_flat", spied_dot_flat)
-    config = SimpleNamespace(diagnostics_norm=algo)
     rep = margin_report(ev, algo)
-    row = harness._build_row(5, config, ev, rep, None, True, 0.5, False)
+    row = harness._build_row(5, ev, rep, None, True, 0.5, False)
     assert row.kkt_eps is not None and row.bregman_bound is not None
     assert counts["wss"] == counts["svd"] == counts["theta.g_hat"] == 1
     assert counts["vectors"] <= vectors
@@ -422,6 +426,5 @@ def test_the_step_gradient_is_formed_by_evaluate(monkeypatch, freeze):
     model, theta, data = random_point(2, freeze, 1.0)
     ev = evaluate(EXP, model, theta, data)
     assert len(calls) == 1
-    margin_report(ev, NormSpec.l2())
-    kkt_residuals(ev, NormSpec.l2(), 0.5)
+    kkt_residuals(ev, margin_report(ev, NormSpec.l2()), 0.5)
     assert len(calls) == 1

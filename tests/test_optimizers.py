@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from steepdesc.data import Dataset
 from steepdesc.errors import NonFiniteError
+from steepdesc.harness import DataSource, RunConfig, run_training
 from steepdesc.losses import (LossSpec, evaluate, log_loss, loss_subgradient,
                               output_margins)
-from steepdesc.models import ModelSpec
+from steepdesc.models import InitSpec, ModelSpec
 from steepdesc.norms import (NormSpec, dual_norm_value, norm_subgradient,
                              norm_value, steepest_direction, thin_svd,
                              unit_direction_and_dual, unit_steepest_direction)
@@ -378,30 +380,47 @@ class TestShampoo:
 
 class TestSwitch:
     def test_not_separated_keeps_spec(self):
-        cd = steepest(NormSpec.l1(), 0.1)
-        gd = steepest(NormSpec.l2(), 0.1, switch_to=cd)
-        state = OptimizerState(t=5)
-        spec2, state2 = apply_switch(gd, state, separated=False)
-        assert spec2 is gd and state2 is state
+        # the switch is gated on separation in run_training: on data with
+        # contradictory labels no logged step separates, so a run with a
+        # switch rule takes exactly the main spec's steps
+        never = Dataset(np.array([[1.0, 0.5], [1.0, 0.5], [-1.0, 0.2]]),
+                        np.array([1.0, -1.0, 1.0]))
+        cd = steepest(NormSpec.l1(), 0.05)
+        gd = steepest(NormSpec.l2(), 0.05)
+
+        def final(spec):
+            log = run_training(RunConfig(
+                model=ModelSpec.linear(2), init=InitSpec(scale=0.1, seed=3),
+                loss=LossSpec.exponential(), optimizer=spec,
+                data=DataSource(kind="dataset", dataset_path="unused"),
+                epochs=200, log_every=20, diagnostics_norm=NormSpec.l2()),
+                train=never)
+            assert log.t0_step is None
+            return log.final_theta.flat()
+
+        kept = final(gd)
+        assert np.array_equal(final(steepest(NormSpec.l2(), 0.05, switch_to=cd)),
+                              kept)
+        assert not np.array_equal(final(cd), kept)  # a switch would show
 
     def test_switch_on_first_separation(self):
         cd = steepest(NormSpec.l1(), 0.1)
         gd = steepest(NormSpec.l2(), 0.1, switch_to=cd)
         state = OptimizerState(t=5)
-        spec2, state2 = apply_switch(gd, state, separated=True)
+        spec2, state2 = apply_switch(gd, state)
         assert spec2 == cd
         assert state2.t == 0
 
     def test_idempotent_after_switch(self):
         cd = steepest(NormSpec.l1(), 0.1)
         gd = steepest(NormSpec.l2(), 0.1, switch_to=cd)
-        spec2, state2 = apply_switch(gd, OptimizerState.fresh(), True)
-        spec3, state3 = apply_switch(spec2, state2, True)
+        spec2, state2 = apply_switch(gd, OptimizerState.fresh())
+        spec3, state3 = apply_switch(spec2, state2)
         assert spec3 is spec2 and state3 is state2
 
     def test_no_rule_passthrough(self):
         gd = steepest(NormSpec.l2(), 0.1)
-        spec2, _ = apply_switch(gd, OptimizerState.fresh(), True)
+        spec2, _ = apply_switch(gd, OptimizerState.fresh())
         assert spec2 is gd
 
 
