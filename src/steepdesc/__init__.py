@@ -2,22 +2,20 @@
 instrumented with margin, alignment, and approximate-KKT diagnostics."""
 
 from .data import Dataset, TeacherSpec, gen_teacher, load_idx, sample_dataset
-from .diagnostics import (KKTReport, MarginReport, bregman_divergence,
-                          detect_separation, kkt_residuals, margin_report,
-                          scale_to_feasible)
+from .diagnostics import (KKTReport, MarginReport, detect_separation,
+                          kkt_residuals, margin_report)
 from .harness import (DataSource, RunConfig, RunLog, emit_csv, emit_svg,
                       evaluate_accuracy, load_config, run_training)
 from .losses import (Evaluation, LossSpec, evaluate, log_loss, loss_subgradient,
                      output_margins, phi_inverse, separation_threshold)
-from .models import (InitSpec, ModelSpec, euler_identity_check, forward,
-                     forward_batch, init_params, load_checkpoint,
-                     network_subgradient, save_checkpoint)
+from .models import (InitSpec, ModelSpec, forward, forward_batch, init_params,
+                     load_checkpoint, network_subgradient, save_checkpoint)
 from .norms import (NormSpec, dual_norm_value, norm_subgradient, norm_value,
                     steepest_direction, thin_svd)
 from .optimizers import (AdamMethod, OptimizerSpec, OptimizerState,
                          ShampooMethod, SteepestMethod, apply_switch,
                          step_adam, step_shampoo, step_steepest, take_step)
-from .oracle import OracleResult, certify_kkt, grid_max_margin
+from .oracle import OracleResult, grid_max_margin
 from .params import ParamVector, from_flat
 
 __version__ = "0.1.0"

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -115,6 +116,19 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _json_data(value):
+    """``value`` as strict JSON data: arrays as lists, non-finite floats as null."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, dict):
+        return {key: _json_data(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_data(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _cmd_diagnose(args) -> int:
     model, theta = load_checkpoint(args.checkpoint)
     ds = data_mod.load_dataset(args.data)
@@ -126,7 +140,8 @@ def _cmd_diagnose(args) -> int:
     except NotSeparatedError:
         kkt = None
     payload = {"margin_report": dataclasses.asdict(rep), "kkt_report": kkt}
-    text = json.dumps(payload, indent=2, sort_keys=True, default=np.ndarray.tolist)
+    text = json.dumps(_json_data(payload), indent=2, sort_keys=True,
+                      allow_nan=False)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:

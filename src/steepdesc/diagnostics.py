@@ -21,12 +21,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import NotSeparatedError, ZeroVectorError
-from .losses import (Evaluation, LossSpec, output_margins, phi_inverse,
-                     separation_threshold)
-from .models import ModelSpec, weighted_subgradient_sum
+from .losses import Evaluation, LossSpec, phi_inverse, separation_threshold
+from .models import weighted_subgradient_sum
 from .norms import (NormSpec, _dual, _l2, _subgradient, dual_norm_value,
                     norm_value)
-from .params import ParamVector
 
 # the parameter norms every logged row reports, besides the algorithm's own
 _REPORTED_NORMS = {spec.label(): spec for spec in (
@@ -130,38 +128,6 @@ def margin_report(ev: Evaluation, algo_norm: NormSpec) -> MarginReport:
     )
 
 
-def scale_to_feasible(model: ModelSpec, theta: ParamVector, data) -> ParamVector:
-    """theta / q_min^{1/L}: the rescaling whose worst output margin is 1.
-
-    Only valid after separation (q_min > 0); idempotent once applied.
-    """
-    q_min = float(output_margins(model, theta, data).min())
-    if q_min <= 0.0:
-        raise NotSeparatedError(f"q_min = {q_min} <= 0: not separated")
-    return theta.scaled_trainable(q_min ** (-1.0 / model.homogeneity_degree))
-
-
-def bregman_divergence(algo_norm: NormSpec, y: ParamVector, z: ParamVector,
-                       m_vec: ParamVector) -> float:
-    """Generalized divergence 0.5||y||*^2 - 0.5||z||*^2 - <m, y - z>, over
-    the trainable blocks.
-
-    ``m_vec`` must be a subgradient of 0.5||.||*^2 at ``z`` (the caller's
-    responsibility). The value is a stationarity gap, not a metric: it can
-    be negative when the squared dual norm is not strongly convex.
-    """
-    y.check_same_structure(z, "bregman_divergence")
-    y.check_same_structure(m_vec, "bregman_divergence")
-    diff = y.trainable_flat() - z.trainable_flat()
-    return _bregman(dual_norm_value(algo_norm, y), dual_norm_value(algo_norm, z),
-                    m_vec.dot_flat(diff))
-
-
-def _bregman(dual_y: float, dual_z: float, inner: float) -> float:
-    """``bregman_divergence`` from ||y||*, ||z||* and <m, y - z>."""
-    return 0.5 * dual_y * dual_y - 0.5 * dual_z * dual_z - inner
-
-
 def kkt_residuals(ev: Evaluation, rep: MarginReport,
                   gamma_tilde_t0: Optional[float] = None) -> KKTReport:
     """Residuals of the rescaled iterate against the max-margin conditions,
@@ -169,11 +135,12 @@ def kkt_residuals(ev: Evaluation, rep: MarginReport,
 
     Multipliers follow lambda_i = (||theta|| / ||g||*) q_min^{1-2/L} w_i
     with w_i the per-example loss weight, computed entirely in log-domain.
-    The stationarity vector is compared against ||theta~|| times the fixed
-    norm subgradient at theta~, in l2 for ``eps`` and in the algorithm's
-    geometry for the Bregman gap. Bounds require the separation-time soft
-    margin. The vectors compared are flat arrays over theta~'s trainable
-    prefix.
+    The stationarity vector s is compared against k, ||theta~|| times the
+    fixed norm subgradient at theta~: in l2 for ``eps``, and in the
+    algorithm's geometry for the Bregman gap
+    0.5||s||*^2 - 0.5||k||*^2 - <theta~, s - k>. Bounds require the
+    separation-time soft margin. The vectors compared are flat arrays over
+    theta~'s trainable prefix.
     """
     degree = ev.model.homogeneity_degree
     algo_norm, q_min, dual_hat = rep.algo_norm, rep.q_min, rep.grad_dual
@@ -201,8 +168,8 @@ def kkt_residuals(ev: Evaluation, rep: MarginReport,
     diff = s - k
     eps = _l2(diff)
     delta = float(scale * lambdas.dot(ev.q / q_min - 1.0))
-    gap = _bregman(_dual(algo_norm, theta_f, s), _dual(algo_norm, theta_f, k),
-                   theta_f.dot_flat(diff))
+    ds, dk = _dual(algo_norm, theta_f, s), _dual(algo_norm, theta_f, k)
+    gap = 0.5 * ds * ds - 0.5 * dk * dk - theta_f.dot_flat(diff)
 
     bregman_bound = delta_bound = None
     if gamma_tilde_t0 is not None and gamma_tilde_t0 > 0.0:

@@ -8,9 +8,11 @@ seed.
 
 Separation time t0 is the first *logged* step whose log-loss is below the
 loss threshold; its soft margin is frozen for the finite-time bounds.
-Once log-loss falls below -700 the parameters freeze (logging continues)
-to keep raw gradient magnitudes representable; ``RunLog.freeze_step`` is
-that step, and from there on only logged steps evaluate.
+Once log-loss falls below -700 the parameters freeze (logging continues);
+``RunLog.freeze_step`` is that step, and from there on only logged steps
+evaluate. It keeps raw gradient magnitudes representable for the raw
+steepest, Adam and Shampoo steps, which form exp(log_scale); normalized
+steepest steps never do, so for them the freeze is a scope limit.
 
 Every key of a flat run config is parsed by its rule in one key table,
 used by the run or not, before the specs are built from the parsed values.

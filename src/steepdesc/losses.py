@@ -112,16 +112,6 @@ def log_weights(loss: LossSpec, q: np.ndarray) -> np.ndarray:
     return -_softplus(q)
 
 
-def phi_prime(loss: LossSpec, u):
-    """Phi' > 0 elementwise (gradient weight divided by the loss term)."""
-    u = np.asarray(u, dtype=np.float64)
-    if loss.kind == EXPONENTIAL:
-        out = np.ones_like(u)
-    else:
-        out = np.exp(log_weights(loss, u) - _log_l_logistic(u))
-    return float(out) if out.ndim == 0 else out
-
-
 @dataclass(eq=False, slots=True)
 class Evaluation:
     """Margins ``q``, log-weights ``logw``, ``log_loss`` and the loss

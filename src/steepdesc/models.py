@@ -202,13 +202,6 @@ def hidden_subgradient_sum(model: ModelSpec, theta: ParamVector, X: np.ndarray,
     return theta.like(grad)
 
 
-def euler_identity_check(model: ModelSpec, theta: ParamVector, x: np.ndarray) -> float:
-    """Residual |<theta, df> - L*f(x; theta)| of the homogeneity identity."""
-    h = network_subgradient(model, theta, x)
-    f = forward(model, theta, x)
-    return abs(theta.dot(h) - model.homogeneity_degree * f)
-
-
 def init_params(model: ModelSpec, init: InitSpec) -> ParamVector:
     """Deterministic parameter draw from the scheme's uniform ranges.
 

@@ -14,10 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import kkt_residuals, margin_report
 from .errors import ConfigError
-from .losses import LossSpec, evaluate
-from .models import ModelSpec
 from .norms import L1, L2, LINF, MODULAR_MAX, SPECTRAL, NormSpec
 from .params import ParamVector
 
@@ -148,15 +145,3 @@ def grid_max_margin(algo_norm: NormSpec, data, resolution: float = 1e-3) -> Orac
     return OracleResult(gamma_star=best_gamma,
                         theta_star=ParamVector((best_theta,)),
                         resolution=resolution)
-
-
-def certify_kkt(model: ModelSpec, theta: ParamVector, data, algo_norm: NormSpec,
-                tol_eps: float, tol_delta: float) -> bool:
-    """True iff the rescaled point meets both residual tolerances.
-
-    Multipliers are formed with exponential-loss weights; propagates the
-    not-separated error when q_min <= 0.
-    """
-    ev = evaluate(LossSpec.exponential(), model, theta, data)
-    report = kkt_residuals(ev, margin_report(ev, algo_norm))
-    return report.eps <= tol_eps and report.delta <= tol_delta

@@ -18,6 +18,7 @@ from steepdesc.harness import load_config, parse_norm
 from steepdesc.losses import LossSpec, evaluate
 from steepdesc.models import (InitSpec, ModelSpec, init_params, load_checkpoint,
                               save_checkpoint)
+from steepdesc.params import ParamVector
 
 
 TOY_CONFIG = """
@@ -322,6 +323,27 @@ class TestDiagnoseCommand:
         assert payload == expected
         assert payload["margin_report"]["grad_dual"] > 0.0
         assert None not in payload["kkt_report"].values()
+
+    def test_zero_gradient_prints_strict_json(self, tmp_path, capsys):
+        """g_hat = 0 makes the alignment NaN; it is printed as null, never
+        as a bare NaN token."""
+        from steepdesc.data import Dataset, save_dataset
+        data = tmp_path / "pair.stpd"
+        save_dataset(Dataset(np.array([[1.0, 0.0], [-1.0, 0.0]]),
+                             np.array([1.0, 1.0])), data)
+        ckpt = tmp_path / "theta.ckpt"
+        save_checkpoint(ckpt, ModelSpec.linear(2),
+                        ParamVector.of(np.array([0.0, 1.0])))
+        assert cli_main(["diagnose", "--checkpoint", str(ckpt),
+                         "--data", str(data), "--norm", "l2"]) == 0
+
+        def reject(token):
+            raise ValueError(f"not JSON: {token}")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert payload["margin_report"]["alignment"] is None
+        assert payload["margin_report"]["grad_dual"] == 0.0
+        assert payload["kkt_report"] is None
 
     def test_report_file_output(self, tmp_path, toy_dataset):
         cfg, out = write_config(tmp_path, toy_dataset)

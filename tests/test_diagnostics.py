@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from steepdesc import norms
-from steepdesc.diagnostics import (bregman_divergence, detect_separation,
-                                   kkt_residuals, margin_report,
-                                   scale_to_feasible)
+from steepdesc import diagnostics, norms
+from steepdesc.diagnostics import (detect_separation, kkt_residuals,
+                                   margin_report)
 from steepdesc.errors import NotSeparatedError, ZeroVectorError
 from steepdesc.losses import LossSpec, evaluate, output_margins
-from steepdesc.models import ModelSpec, forward_batch
-from steepdesc.norms import NormSpec, dual_norm_value
+from steepdesc.models import ModelSpec, forward_batch, weighted_subgradient_sum
+from steepdesc.norms import (NormSpec, dual_norm_value, norm_subgradient,
+                             norm_value)
 from steepdesc.params import ParamVector
 
 
@@ -102,64 +102,112 @@ class TestMarginReport:
         assert rep.gamma_sigma == pytest.approx(10.0)
 
 
-class TestScaleToFeasible:
-    def test_linear(self):
-        model, theta, data = linear_instance([2.0, 0.0], [[1.0, 0.0]], [1.0])
-        scaled = scale_to_feasible(model, theta, data)
-        np.testing.assert_allclose(scaled.blocks[0], [1.0, 0.0])
+@pytest.fixture
+def rescaled(monkeypatch):
+    """Runs the l2 KKT row at (model, theta, data) and returns the rescaled
+    point theta~ = theta / q_min^(1/L) whose norm subgradient it takes."""
+    seen = []
+    subgradient = diagnostics._subgradient
 
-    def test_degree_two_uses_square_root(self):
+    def spy(spec, theta):
+        seen.append(theta)
+        return subgradient(spec, theta)
+
+    monkeypatch.setattr(diagnostics, "_subgradient", spy)
+
+    def run(model, theta, data):
+        l2_kkt(model, theta, data)
+        return seen[-1]
+    return run
+
+
+class TestScaleToFeasible:
+    """The KKT row's rescaling of theta onto the unit-margin set."""
+
+    def test_linear(self, rescaled):
+        model, theta, data = linear_instance([2.0, 0.0], [[1.0, 0.0]], [1.0])
+        np.testing.assert_allclose(rescaled(model, theta, data).blocks[0],
+                                   [1.0, 0.0])
+
+    def test_degree_two_uses_square_root(self, rescaled):
         model = ModelSpec.two_layer_relu(2, 1)
         theta = ParamVector.of(np.array([[2.0, 0.0]]), np.array([2.0]))
         data = Points([[1.0, 0.0]], [1.0])  # q_min = 4, L = 2
-        scaled = scale_to_feasible(model, theta, data)
+        scaled = rescaled(model, theta, data)
         assert output_margins(model, scaled, data)[0] == pytest.approx(1.0, rel=1e-10)
         np.testing.assert_allclose(scaled.blocks[0], [[1.0, 0.0]])
 
-    def test_idempotent(self):
+    def test_idempotent(self, rescaled):
         model, theta, data = linear_instance([2.0, 1.0], [[1.0, 0.5]], [1.0])
-        once = scale_to_feasible(model, theta, data)
-        twice = scale_to_feasible(model, once, data)
+        once = rescaled(model, theta, data)
+        twice = rescaled(model, once, data)
         assert once.allclose(twice, rtol=1e-14)
 
-    def test_not_separated(self):
+    def test_not_separated(self, rescaled):
         model, theta, data = linear_instance([1.0, 0.0], [[-1.0, 0.0]], [1.0])
         with pytest.raises(NotSeparatedError):
-            scale_to_feasible(model, theta, data)
+            rescaled(model, theta, data)
+
+
+def direct_bregman_gap(spec, model, theta, data, rep):
+    """0.5||s||*^2 - 0.5||k||*^2 - <theta~, s - k>, with s and k built anew
+    from the row's multipliers: s = sum_i lambda_i y_i grad f_i(theta~) and
+    k = ||theta~|| times the norm subgradient at theta~."""
+    ev = evaluate(EXP, model, theta, data)
+    q_min = float(ev.q.min())
+    theta_f = theta.scaled_trainable(q_min ** (-1.0 / model.homogeneity_degree))
+    s = weighted_subgradient_sum(model, theta_f, data.X,
+                                 data.y * rep.lambdas).trainable_view()
+    k = norm_subgradient(spec, theta_f).scaled(norm_value(spec, theta_f))
+    diff = s - k
+    return (0.5 * dual_norm_value(spec, s)**2 - 0.5 * dual_norm_value(spec, k)**2
+            - theta_f.dot_flat(diff.flat()))
 
 
 class TestBregmanDivergence:
+    """The KKT row's Bregman gap between s and k in the algorithm geometry."""
+
     def test_identical_points(self):
-        y = ParamVector.of(np.array([1.0, 2.0]))
-        assert bregman_divergence(NormSpec.l2(), y, y, y) == 0.0
+        # one example: s = k, so the gap vanishes
+        model, theta, data = linear_instance([2.0, 0.0], [[1.0, 0.0]], [1.0])
+        assert l2_kkt(model, theta, data).bregman_gap == pytest.approx(
+            0.0, abs=1e-14)
 
     def test_l2_closed_form(self):
-        z = ParamVector.of(np.array([1.0, 0.0]))
-        y = ParamVector.of(np.array([0.0, 1.0]))
-        assert bregman_divergence(NormSpec.l2(), y, z, z) == pytest.approx(1.0)
+        # in l2, k = theta~ and the gap is 0.5 ||s - k||^2 = 0.5 eps^2
+        model, theta, data = linear_instance(
+            [1.0, 0.2], [[1.0, 1.0], [-1.0, -1.0]], [1.0, -1.0])
+        rep = l2_kkt(model, theta, data)
+        assert rep.eps > 1e-3
+        assert rep.bregman_gap == pytest.approx(0.5 * rep.eps**2, rel=1e-12)
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(2)
+        model = ModelSpec.linear(4)
         for spec in (NormSpec.l1(), NormSpec.l2(), NormSpec.linf()):
             for _ in range(20):
-                y = ParamVector.of(rng.standard_normal(4))
-                z = ParamVector.of(rng.standard_normal(4))
-                m = ParamVector.of(rng.standard_normal(4))
-                direct = (0.5 * dual_norm_value(spec, y)**2
-                          - 0.5 * dual_norm_value(spec, z)**2
-                          - m.dot(y - z))
-                assert bregman_divergence(spec, y, z, m) == pytest.approx(
+                theta = ParamVector.of(rng.standard_normal(4))
+                X = rng.standard_normal((5, 4))
+                data = Points(X, np.sign(forward_batch(model, theta, X)))
+                ev = evaluate(EXP, model, theta, data)
+                rep = kkt_residuals(ev, margin_report(ev, spec))
+                direct = direct_bregman_gap(spec, model, theta, data, rep)
+                assert rep.bregman_gap == pytest.approx(
                     direct, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("m_tail", [4.0, 0.0])
     def test_frozen_blocks_stay_out_of_the_inner_product(self, m_tail):
-        frozen = (True, False)
-        y = ParamVector.of(np.array([1.0, 2.0]), np.array([5.0]), trainable=frozen)
-        z = ParamVector.of(np.array([0.5, 1.0]), np.array([1.0]), trainable=frozen)
-        m = ParamVector.of(np.array([0.3, 0.1]), np.array([m_tail]),
-                           trainable=frozen)
-        assert bregman_divergence(NormSpec.l2(), y, z, m) == pytest.approx(
-            1.625, rel=1e-15)
+        # a frozen second layer, one of its weights m_tail: only the first
+        # layer enters s, k and <theta~, s - k>, so the l2 gap stays
+        # 0.5 eps^2 and matches the direct formula on the trainable blocks
+        model = ModelSpec.two_layer_relu(2, 2, freeze_second_layer=True)
+        theta = ParamVector.of(np.array([[1.0, 2.0], [0.5, -1.0]]),
+                               np.array([3.0, m_tail]), trainable=(True, False))
+        data = Points([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
+        rep = l2_kkt(model, theta, data)
+        assert rep.bregman_gap == pytest.approx(0.5 * rep.eps**2, rel=1e-12)
+        direct = direct_bregman_gap(NormSpec.l2(), model, theta, data, rep)
+        assert rep.bregman_gap == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
 
 class TestDetectSeparation:

@@ -111,11 +111,15 @@ GOLDEN = {
 }
 
 
-def run_digests(case: str, out: Path) -> dict:
+def golden_config(case: str, out: Path):
     base, overrides = CASES[case]
     values = read_flat_config(CONFIGS / f"{base}.cfg")
     values.update(SHORT, **overrides)
-    run_training(config_from_values(values, output_dir=str(out)))
+    return config_from_values(values, output_dir=str(out))
+
+
+def run_digests(case: str, out: Path) -> dict:
+    run_training(golden_config(case, out))
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in ("run.csv", "final.ckpt")}
 
@@ -123,6 +127,24 @@ def run_digests(case: str, out: Path) -> dict:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_digests_match_the_pins(case, tmp_path):
     assert run_digests(case, tmp_path / case) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", ["desk_sd", "late_phase", "modular_gd",
+                                  "spectral_gd"])
+def test_bregman_gap_is_its_closed_form(case, tmp_path):
+    """On every post-separation row the logged Bregman gap equals
+    ||theta~||^2 (1 - alignment), with ||theta~|| = norm_algo q_min^(-1/L):
+    the multipliers make ||s||* = ||theta~||, and the fixed subgradient k
+    has ||k||* = ||theta~|| and <theta~, k> = ||theta~||^2. The tolerance,
+    1e-12 ||theta~||^2, leaves room for the few units of rounding of a gap
+    taken as a difference of terms of size ||theta~||^2 / 2."""
+    config = golden_config(case, tmp_path / case)
+    rows = [row for row in run_training(config).rows if row.bregman_gap is not None]
+    assert rows
+    degree = config.model.homogeneity_degree
+    for row in rows:
+        sq = (row.norm_algo * row.q_min ** (-1.0 / degree)) ** 2
+        assert abs(row.bregman_gap - sq * (1.0 - row.alignment)) <= 1e-12 * sq, row.step
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from steepdesc.losses import (LossSpec, evaluate, log_loss, log_terms,
-                              loss_subgradient, output_margins, phi,
-                              phi_inverse, phi_prime, separation_threshold)
+                              log_weights, loss_subgradient, output_margins,
+                              phi, phi_inverse, separation_threshold)
 from steepdesc.models import (ModelSpec, network_subgradient,
                               weighted_subgradient_sum)
 from steepdesc.params import ParamVector, from_flat
@@ -20,6 +20,12 @@ class Points:
 
 EXP = LossSpec.exponential()
 LOG = LossSpec.logistic()
+
+
+def phi_prime(loss, u):
+    """Phi'(u), the gradient weight over the loss term, from the log-domain
+    weights and terms."""
+    return np.exp(log_weights(loss, u) - log_terms(loss, u))
 
 
 def mp_log_loss(loss, q, dps=None):

@@ -10,11 +10,16 @@ from hypothesis import strategies as st
 
 from steepdesc.errors import ConfigError, DataFormatError, ShapeMismatchError
 from steepdesc.models import (COORDINATE_UNIFORM, InitSpec, ModelSpec,
-                              euler_identity_check, forward, forward_batch,
-                              init_params, load_checkpoint,
-                              network_subgradient, save_checkpoint,
-                              weighted_subgradient_sum)
+                              forward, forward_batch, init_params,
+                              load_checkpoint, network_subgradient,
+                              save_checkpoint, weighted_subgradient_sum)
 from steepdesc.params import ParamVector
+
+
+def euler_identity_check(model, theta, x):
+    """Residual |<theta, df> - L*f(x; theta)| of the homogeneity identity."""
+    h = network_subgradient(model, theta, x)
+    return abs(theta.dot(h) - model.homogeneity_degree * forward(model, theta, x))
 
 
 def relu_single():

@@ -1,10 +1,16 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from steepdesc import oracle
+from steepdesc.diagnostics import kkt_residuals, margin_report
 from steepdesc.errors import NotSeparatedError
+from steepdesc.losses import LossSpec, evaluate
 from steepdesc.models import ModelSpec
 from steepdesc.norms import NormSpec, norm_value
-from steepdesc.oracle import certify_kkt, grid_max_margin
+from steepdesc.oracle import grid_max_margin
 from steepdesc.params import ParamVector
 
 
@@ -16,6 +22,14 @@ class Points:
 
 SYMMETRIC_PAIR = Points([[1.0, 0.0], [-1.0, 0.0]], [1.0, -1.0])
 DIAGONAL_PAIR = Points([[1.0, 1.0], [-1.0, -1.0]], [1.0, -1.0])
+def certify_kkt(model, theta, data, algo_norm, tol_eps, tol_delta):
+    """True iff the rescaled point meets both residual tolerances, with
+    exponential-loss multipliers; raises NotSeparatedError when q_min <= 0."""
+    ev = evaluate(LossSpec.exponential(), model, theta, data)
+    report = kkt_residuals(ev, margin_report(ev, algo_norm))
+    return report.eps <= tol_eps and report.delta <= tol_delta
+
+
 XOR = Points([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]],
              [1.0, 1.0, -1.0, -1.0])
 
@@ -102,3 +116,20 @@ class TestCertifyKKT:
         with pytest.raises(NotSeparatedError):
             certify_kkt(ModelSpec.linear(2), theta, SYMMETRIC_PAIR,
                         NormSpec.l2(), tol_eps=1e-6, tol_delta=1e-6)
+
+
+def test_oracle_imports_only_errors_norms_and_params():
+    """The ground truth stays independent of the code it checks: no
+    diagnostics, losses, models or optimizers."""
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported.update([node.module] if node.module else
+                            [alias.name for alias in node.names])
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = ([node.module] if isinstance(node, ast.ImportFrom) else
+                     [alias.name for alias in node.names])
+            imported.update(name for name in names
+                            if name.split(".")[0] == "steepdesc")
+    assert imported <= {"errors", "norms", "params"}, imported
