@@ -93,9 +93,11 @@ def _cmd_generate_data(args) -> int:
 
 def _cmd_train(args) -> int:
     values = read_flat_config(args.config)
+    if args.output_dir:
+        values["output_dir"] = args.output_dir
     if args.strict:
         values["strict"] = True
-    config = config_from_values(values, output_dir=args.output_dir)
+    config = config_from_values(values)
     if config.output_dir is None:
         config = dataclasses.replace(config, output_dir="run_output")
     metrics = [m.strip() for m in (args.svg_metrics or "").split(",") if m.strip()]

@@ -32,9 +32,10 @@ from .data import (Dataset, TeacherSpec, gen_teacher, load_dataset, load_idx,
                    sample_dataset)
 from .diagnostics import MarginReport, kkt_residuals, margin_report
 from .errors import ConfigError, DivergenceError, InvariantViolation
-from .losses import EXPONENTIAL, Evaluation, LossSpec, evaluate, output_margins
-from .models import (FAN_IN_UNIFORM, LINEAR, TWO_LAYER_RELU, InitSpec, ModelSpec,
-                     init_params, save_checkpoint)
+from .losses import (EXPONENTIAL, LOGISTIC, Evaluation, LossSpec, evaluate,
+                     output_margins)
+from .models import (COORDINATE_UNIFORM, FAN_IN_UNIFORM, LINEAR, TWO_LAYER_RELU,
+                     InitSpec, ModelSpec, init_params, save_checkpoint)
 from .norms import NormSpec
 from .optimizers import (AdamMethod, OptimizerSpec, OptimizerState,
                          ShampooMethod, SteepestMethod, apply_switch, take_step)
@@ -443,23 +444,10 @@ def parse_norm(text: str) -> NormSpec:
     return NormSpec(text)
 
 
-def _parse_scalar(text: str):
-    text = text.strip()
-    if text.startswith('"') and text.endswith('"') and len(text) >= 2:
-        return text[1:-1]
-    low = text.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    for number in (int, float):
-        try:
-            return number(text)
-        except ValueError:
-            pass
-    return text
-
-
 def read_flat_config(path) -> dict:
-    """Parse a flat ``key = value`` file; '#' starts a comment."""
+    """Parse a flat ``key = value`` file; '#' starts a comment. A value is
+    its text, unquoted, or a bare true/false as a bool: numbers are left
+    to the key's rule in ``config_from_values``."""
     values = {}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -472,7 +460,12 @@ def read_flat_config(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{ln}: expected 'key = value'")
         key, _, value = line.partition("=")
-        values[key.strip()] = _parse_scalar(value)
+        value = value.strip()
+        if len(value) >= 2 and value[0] == value[-1] == '"':
+            value = value[1:-1]
+        elif value.lower() in ("true", "false"):
+            value = value.lower() == "true"
+        values[key.strip()] = value
     return values
 
 
@@ -484,12 +477,17 @@ def _flag(key: str, value) -> bool:
 
 
 def _integer(key: str, value) -> int:
-    """An int or an integral float such as 1e3; not a bool or a fraction."""
+    """An integer, or an integral number such as 1e3; not a bool or a
+    fraction. Text is read by int() first, so a large integer stays exact."""
     try:
-        if not (isinstance(value, bool)
-                or isinstance(value, float) and not value.is_integer()):
-            return int(value)
-    except (TypeError, ValueError):          # int("abc")
+        if isinstance(value, str):
+            try:
+                return int(value)                # "1_000" included
+            except ValueError:
+                value = float(value)             # "1e3"; "abc" raises
+        if not isinstance(value, bool) and float(value).is_integer():
+            return int(value)                    # not a fraction, inf or nan
+    except (TypeError, ValueError, OverflowError):
         pass
     raise ConfigError(f"{key} must be an integer, got {value!r}")
 
@@ -505,7 +503,7 @@ def _real(key: str, value) -> float:
 
 
 def _text(key: str, value) -> str:
-    """A path or a name: text, or a number read as its text; not a bool."""
+    """A path or a name, as written; not a bool."""
     if isinstance(value, bool):
         raise ConfigError(f"{key} must be a path or name, got {value!r}")
     return str(value)
@@ -533,9 +531,11 @@ _TABLE = {
     "model": {"model_kind": (_choice(LINEAR, TWO_LAYER_RELU), TWO_LAYER_RELU),
               "input_dim": (_integer, None), "width": (_integer, None),
               "freeze_second_layer": (_flag, False)},
-    "init": {"init_scale": (_real, 0.01), "init_scheme": (_text, FAN_IN_UNIFORM),
+    "init": {"init_scale": (_real, 0.01),
+             "init_scheme": (_choice(FAN_IN_UNIFORM, COORDINATE_UNIFORM),
+                             FAN_IN_UNIFORM),
              "init_seed": (_integer, 0)},
-    "loss": {"loss": (_text, EXPONENTIAL)},
+    "loss": {"loss": (_choice(EXPONENTIAL, LOGISTIC), EXPONENTIAL)},
     "optimizer": {"optimizer": (_OPTIMIZER_KIND, "steepest"),
                   "norm": (_norm, NormSpec.l2()), "normalized": (_flag, False),
                   "step_size": (_real, 1e-2), "beta1": (_real, 0.9),
@@ -574,11 +574,11 @@ def _optimizer(kind: str, norm: NormSpec, normalized: bool, step_size: float,
     return OptimizerSpec(method=method, step_size=step_size)
 
 
-def config_from_values(values: dict, output_dir: Optional[str] = None) -> RunConfig:
+def config_from_values(values: dict) -> RunConfig:
     """Build a RunConfig from flat key/value pairs (``CONFIG_KEYS``, listed
     in the README). Every key present is parsed by its rule, whether or not
     the config uses it; an unknown key or a malformed value is a
-    ``ConfigError``. An ``output_dir`` argument wins over the key."""
+    ``ConfigError``."""
     unknown = sorted(set(values) - CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config key(s) {', '.join(unknown)}")
@@ -611,7 +611,7 @@ def config_from_values(values: dict, output_dir: Optional[str] = None) -> RunCon
                          optimizer=optimizer, data=data, epochs=epochs,
                          log_every=p.get("log_every", max(1, epochs // 1000)),
                          diagnostics_norm=p["diagnostics_norms"], seed=p["seed"],
-                         output_dir=output_dir or p.get("output_dir") or None,
+                         output_dir=p.get("output_dir") or None,
                          strict=p["strict"])
     except KeyError as exc:
         raise ConfigError(f"missing config key {exc.args[0]!r}") from exc

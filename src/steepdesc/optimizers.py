@@ -3,6 +3,7 @@
 The steepest-descent family (raw and normalized) under any supported norm,
 Adam, Shampoo, and an at-separation switching rule. All steps are pure:
 they return a new parameter vector (and, where stateful, a new state).
+Each reads its size eta from its ``OptimizerSpec``, where it is checked.
 Frozen blocks never move: each step forms the new point with one
 ``ParamVector.add_trainable`` of a flat displacement.
 
@@ -24,7 +25,7 @@ Special cases worth knowing:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -92,8 +93,7 @@ class OptimizerState:
     t: int = 0
     adam_m: Optional[np.ndarray] = None   # moments of the trainable prefix
     adam_v: Optional[np.ndarray] = None
-    shampoo_left: dict = field(default_factory=dict)
-    shampoo_right: dict = field(default_factory=dict)
+    shampoo: tuple = ()    # (left, right) accumulators per trainable block
 
     @classmethod
     def fresh(cls) -> "OptimizerState":
@@ -101,7 +101,7 @@ class OptimizerState:
 
 
 def step_steepest(theta: ParamVector, g: ParamVector, spec: OptimizerSpec,
-                  eta: float, log_scale: float = 0.0) -> ParamVector:
+                  log_scale: float = 0.0) -> ParamVector:
     """One steepest step: theta + eta * delta, delta from the method norm.
 
     The normalized variant rescales delta to unit norm (a zero gradient
@@ -112,6 +112,7 @@ def step_steepest(theta: ParamVector, g: ParamVector, spec: OptimizerSpec,
     method = spec.method
     if not isinstance(method, SteepestMethod):
         raise TypeError("step_steepest requires a steepest-descent method")
+    eta = spec.step_size
     if method.normalized:       # raises on non-finite g, as the raw step does
         return theta.add_trainable(eta * unit_steepest_direction(method.norm, g).flat())
     unit, dual = unit_direction_and_dual(method.norm, g)
@@ -125,7 +126,7 @@ def step_steepest(theta: ParamVector, g: ParamVector, spec: OptimizerSpec,
 
 
 def step_adam(theta: ParamVector, g: ParamVector, state: OptimizerState,
-              spec: OptimizerSpec, eta: float) -> tuple[ParamVector, OptimizerState]:
+              spec: OptimizerSpec) -> tuple[ParamVector, OptimizerState]:
     """Adam with bias correction; elementwise 0/0 resolves to no movement."""
     method = spec.method
     if not isinstance(method, AdamMethod):
@@ -142,7 +143,7 @@ def step_adam(theta: ParamVector, g: ParamVector, state: OptimizerState,
     denom = np.sqrt(v_hat) + eps
     upd = np.divide(m_hat, denom, out=np.zeros_like(m_hat), where=denom > 0.0)
     new_state = OptimizerState(t=t, adam_m=m, adam_v=v)
-    return theta.add_trainable(-eta * upd), new_state
+    return theta.add_trainable(-spec.step_size * upd), new_state
 
 
 def _inverse_fourth_root(mat: np.ndarray) -> np.ndarray:
@@ -164,35 +165,26 @@ def _inverse_fourth_root(mat: np.ndarray) -> np.ndarray:
 
 
 def step_shampoo(theta: ParamVector, g: ParamVector, state: OptimizerState,
-                 spec: OptimizerSpec, eta: float) -> tuple[ParamVector, OptimizerState]:
+                 spec: OptimizerSpec) -> tuple[ParamVector, OptimizerState]:
     """Per-block preconditioned step W -= eta * L^{-1/4} G R^{-1/4}.
 
     Accumulators grow by G G^T and G^T G each step (plus eps_reg * I on
-    first use); vector blocks are treated as one-column matrices. Frozen
-    blocks are skipped entirely.
+    first use), one (left, right) pair per trainable block; vector blocks
+    are treated as one-column matrices. Frozen blocks are skipped entirely.
     """
     method = spec.method
     if not isinstance(method, ShampooMethod):
         raise TypeError("step_shampoo requires a Shampoo method")
-    new_left = dict(state.shampoo_left)
-    new_right = dict(state.shampoo_right)
-    deltas = []
+    accumulators, deltas = [], []
     for i, gb in enumerate(g.trainable_blocks()):
         gm = gb.reshape(-1, 1) if gb.ndim == 1 else gb
-        rows, cols = gm.shape
-        left = new_left.get(i)
-        right = new_right.get(i)
-        if left is None:
-            left = method.eps_reg * np.eye(rows)
-            right = method.eps_reg * np.eye(cols)
-        left = left + gm @ gm.T
-        right = right + gm.T @ gm
-        new_left[i] = left
-        new_right[i] = right
+        left, right = state.shampoo[i] if state.shampoo else (
+            method.eps_reg * np.eye(gm.shape[0]), method.eps_reg * np.eye(gm.shape[1]))
+        left, right = left + gm @ gm.T, right + gm.T @ gm
+        accumulators.append((left, right))
         upd = _inverse_fourth_root(left) @ gm @ _inverse_fourth_root(right)
-        deltas.append(-eta * upd.ravel())
-    new_state = OptimizerState(t=state.t + 1,
-                               shampoo_left=new_left, shampoo_right=new_right)
+        deltas.append(-spec.step_size * upd.ravel())
+    new_state = OptimizerState(t=state.t + 1, shampoo=tuple(accumulators))
     return theta.add_trainable(np.concatenate(deltas)), new_state
 
 
@@ -213,10 +205,9 @@ def take_step(theta: ParamVector, g: ParamVector, state: OptimizerState,
               spec: OptimizerSpec, log_scale: float = 0.0
               ) -> tuple[ParamVector, OptimizerState]:
     """Dispatch one update under ``spec`` at its configured step size."""
-    eta = spec.step_size
     if isinstance(spec.method, SteepestMethod):
-        return step_steepest(theta, g, spec, eta, log_scale), OptimizerState(state.t + 1)
+        return step_steepest(theta, g, spec, log_scale), OptimizerState(state.t + 1)
     scaled = g.scaled(_exp_saturating(log_scale)) if log_scale != 0.0 else g
     if isinstance(spec.method, AdamMethod):
-        return step_adam(theta, scaled, state, spec, eta)
-    return step_shampoo(theta, scaled, state, spec, eta)
+        return step_adam(theta, scaled, state, spec)
+    return step_shampoo(theta, scaled, state, spec)

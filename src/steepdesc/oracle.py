@@ -118,6 +118,8 @@ def grid_max_margin(algo_norm: NormSpec, data, resolution: float = 1e-3) -> Orac
     Reports gamma_star <= 0 when the instance is not linearly separable.
     Ties resolve to the lexicographically smallest direction.
     """
+    if not 0.0 < resolution < math.inf:
+        raise ConfigError(f"resolution must be finite and positive, got {resolution}")
     X = np.asarray(data.X, dtype=np.float64)
     y = np.asarray(data.y, dtype=np.float64)
     d = X.shape[1]

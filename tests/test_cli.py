@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import steepdesc
-from steepdesc.cli import cli_main
-from steepdesc.data import export_csv, load_dataset
+from steepdesc.cli import _build_parser, cli_main
+from steepdesc.data import Dataset, export_csv, load_dataset
 from steepdesc.diagnostics import kkt_residuals, margin_report
 from steepdesc.harness import load_config, parse_norm
 from steepdesc.losses import LossSpec, evaluate
@@ -43,6 +43,20 @@ output_dir = {out}
 
 # switches TOY_CONFIG to a generated teacher dataset
 TEACHER = "data_kind = teacher\ntrain_m = 8\nteacher_active = 1\n"
+
+# a tiny linear run on a dataset file
+LINEAR_CONFIG = """
+model_kind = linear
+input_dim = 2
+data_kind = dataset
+dataset_path = {data}
+step_size = 0.05
+epochs = 20
+log_every = 10
+"""
+
+# a separable pair for the oracle
+TWO_POINTS = Dataset(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1.0, -1.0]))
 
 
 @pytest.fixture
@@ -271,6 +285,16 @@ class TestOracleCommand:
         assert cli_main(["oracle", "--norm", norm, "--data", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("resolution", ["0", "-1", "nan", "inf", "-inf"])
+    def test_resolution_not_finite_and_positive_exits_1(self, tmp_path, capsys,
+                                                         resolution):
+        path = tmp_path / "points.csv"
+        export_csv(TWO_POINTS, path)
+        assert cli_main(["oracle", "--data", str(path),
+                         f"--resolution={resolution}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: resolution must be finite and positive"), err
+
     @pytest.mark.parametrize("text, where", [
         ("y,x1,x2\n1,1.0,0.5\n-1,abc,0.5\n", ":3: "),
         ("y,x1,x2\n1,1.0,0.5\n-1,-1.0\n", ":3: 2 cells"),
@@ -481,6 +505,18 @@ diagnostics_norms = l2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    def test_seeds_read_as_the_seed_key_reads_them(self, tmp_path, toy_dataset):
+        """``--seeds 1e0`` is seed 1, as ``seed = 1e0`` in a file is."""
+        cfg = tmp_path / "linear.cfg"
+        cfg.write_text(LINEAR_CONFIG.format(data=toy_dataset))
+        with_seed = tmp_path / "seeded.cfg"
+        with_seed.write_text(cfg.read_text() + "seed = 1e0\n")
+        assert load_config(with_seed).seed == 1
+        out = tmp_path / "sweep"
+        assert cli_main(["sweep", "--config", str(cfg), "--seeds", "1e0",
+                         "--output-dir", str(out)]) == 0
+        assert (out / "seed1_scale0.01" / "run.csv").exists()
+
     def test_unknown_subcommand_exits_nonzero(self):
         assert cli_main(["frobnicate"]) != 0
 
@@ -491,6 +527,41 @@ class TestConfigLoad:
         config = load_config(cfg)
         assert config.epochs == 400
         assert config.optimizer.step_size == 0.05
+
+
+def numeric_options() -> list:
+    """(command, option) for every option that reads a number: those typed
+    int or float, and the sweep's comma lists."""
+    sub = next(a for a in _build_parser()._actions if a.dest == "command")
+    typed = [(name, action.option_strings[0])
+             for name, parser in sub.choices.items()
+             for action in parser._actions if action.type in (int, float)]
+    return typed + [("sweep", "--seeds"), ("sweep", "--scales")]
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("command, option", numeric_options(),
+                         ids=lambda x: x)
+def test_any_number_exits_0_1_or_2(tmp_path, toy_dataset, command, option, value):
+    """Each numeric option, at 0, -1, nan and inf, on small inputs: the CLI
+    ends in an exit code, never a traceback."""
+    if command == "generate-data":
+        base = ["--input-dim", "4", "--teacher-k", "2", "--active", "2",
+                "--m", "4", "--out", str(tmp_path / "teacher.stpd")]
+    elif command == "oracle":
+        export_csv(TWO_POINTS, tmp_path / "points.csv")
+        base = ["--data", str(tmp_path / "points.csv")]
+    elif command == "sweep":
+        cfg = tmp_path / "linear.cfg"
+        cfg.write_text(LINEAR_CONFIG.format(data=toy_dataset))
+        base = ["--config", str(cfg), "--seeds", "1",
+                "--output-dir", str(tmp_path / "sweep")]
+    else:
+        model = ModelSpec.two_layer_relu(2, 8)
+        ckpt = tmp_path / "theta.ckpt"
+        save_checkpoint(ckpt, model, init_params(model, InitSpec(0.05, seed=3)))
+        base = ["--checkpoint", str(ckpt), "--data", str(toy_dataset)]
+    assert cli_main([command, *base, f"{option}={value}"]) in (0, 1, 2)
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

@@ -114,8 +114,8 @@ GOLDEN = {
 def golden_config(case: str, out: Path):
     base, overrides = CASES[case]
     values = read_flat_config(CONFIGS / f"{base}.cfg")
-    values.update(SHORT, **overrides)
-    return config_from_values(values, output_dir=str(out))
+    values.update(SHORT, **overrides, output_dir=str(out))
+    return config_from_values(values)
 
 
 def run_digests(case: str, out: Path) -> dict:

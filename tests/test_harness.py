@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steepdesc.cli import cli_main
 from steepdesc.data import Dataset, save_dataset
 from steepdesc.errors import ConfigError, DivergenceError
 from steepdesc.harness import (_KEYS, _TABLE, ACCURACY_CHUNK, CONFIG_KEYS,
@@ -304,12 +305,38 @@ switch_norm = l1
                             "test_m": 0, "switch_to": "shampoo", "seed": 2,
                             "output_dir": "out"})
 
-    def test_output_dir_is_the_argument_then_the_key(self, monkeypatch):
+    def test_output_dir_is_the_argument_then_the_key(self, tmp_path, monkeypatch):
+        """``train --output-dir`` wins over the key, which keeps its text as
+        written; the environment is not read."""
         monkeypatch.setenv("STEEPDESC_OUTPUT_DIR", "envdir")
-        values = {**MINIMAL_VALUES, "output_dir": 5}
-        assert config_from_values(values).output_dir == "5"
-        assert config_from_values(values, output_dir="arg").output_dir == "arg"
+        monkeypatch.chdir(tmp_path)
+        save_dataset(four_point_set(), tmp_path / "toy.stpd")
+        (tmp_path / "run.cfg").write_text(
+            "model_kind = linear\ninput_dim = 2\ndata_kind = dataset\n"
+            "dataset_path = toy.stpd\nepochs = 20\noutput_dir = 007\n")
+        train = ["train", "--config", "run.cfg"]
+        assert cli_main([*train, "--output-dir", "arg"]) == 0
+        assert cli_main(train) == 0
+        assert sorted(p.name for p in tmp_path.iterdir() if p.is_dir()) == ["007", "arg"]
+        assert (tmp_path / "arg" / "run.csv").exists()
+        assert (tmp_path / "007" / "run.csv").exists()
         assert config_from_values(MINIMAL_VALUES).output_dir is None
+
+    def test_path_keys_keep_their_text(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(MINIMAL_CONFIG + "output_dir = 007\ndataset_path = 1e3\n")
+        values = read_flat_config(path)
+        assert values["output_dir"] == "007" and values["dataset_path"] == "1e3"
+        config = config_from_values({**values, "data_kind": "dataset"})
+        assert config.output_dir == "007" and config.data.dataset_path == "1e3"
+
+    def test_choice_keys_take_their_names_in_any_case(self):
+        config = config_from_values({**MINIMAL_VALUES, "model_kind": "LINEAR",
+                                     "loss": "Logistic",
+                                     "init_scheme": "Coordinate_Uniform"})
+        assert config.model == ModelSpec.linear(2)
+        assert config.loss == LossSpec.logistic()
+        assert config.init.scheme == "coordinate_uniform"
 
     @pytest.mark.parametrize("key", sorted(CONFIG_KEYS))
     def test_every_key_present_is_validated_used_or_not(self, key):
@@ -337,11 +364,15 @@ switch_norm = l1
             config_from_values({**MINIMAL_VALUES, key: value})
 
     def test_integer_key_accepts_an_integral_float(self, tmp_path):
+        """An integer is read exactly, above 2^53 too, and an integral float
+        as its integer."""
         path = tmp_path / "run.cfg"
-        path.write_text(MINIMAL_CONFIG + "epochs = 1e3\ndata_seed = 7.0\n")
+        path.write_text(MINIMAL_CONFIG + "epochs = 1e3\ndata_seed = 7.0\n"
+                        "seed = 9007199254740993\ninit_seed = 1_000\n")
         config = config_from_values(read_flat_config(path))
         assert config.epochs == 1000 and type(config.epochs) is int
         assert config.data.data_seed == 7 and type(config.data.data_seed) is int
+        assert config.seed == 2**53 + 1 and config.init.seed == 1000
 
     def test_bad_line_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -30,24 +31,29 @@ def steepest(norm, eta, normalized=False, switch_to=None):
                          step_size=eta, switch_to=switch_to)
 
 
+@pytest.mark.parametrize("step", [step_steepest, step_adam, step_shampoo, take_step])
+def test_steps_read_eta_from_the_spec_alone(step):
+    assert "eta" not in inspect.signature(step).parameters
+
+
 class TestSteepestStep:
     def test_l2_step(self):
         theta = ParamVector.of(np.array([1.0, 1.0]))
         g = ParamVector.of(np.array([3.0, 4.0]))
-        new = step_steepest(theta, g, steepest(NormSpec.l2(), 0.1), 0.1)
+        new = step_steepest(theta, g, steepest(NormSpec.l2(), 0.1))
         np.testing.assert_allclose(new.blocks[0], [0.7, 0.6])
 
     def test_normalized_linf_is_unit_sign_step(self):
         theta = ParamVector.of(np.zeros(2))
         g = ParamVector.of(np.array([3.0, -4.0]))
         spec = steepest(NormSpec.linf(), 0.1, normalized=True)
-        new = step_steepest(theta, g, spec, 0.1)
+        new = step_steepest(theta, g, spec)
         np.testing.assert_allclose(new.blocks[0], [-0.1, 0.1])
 
     def test_zero_gradient_no_move(self):
         theta = ParamVector.of(np.array([1.0, 2.0]))
         g = theta.zeros_like()
-        new = step_steepest(theta, g, steepest(NormSpec.l1(), 0.5), 0.5)
+        new = step_steepest(theta, g, steepest(NormSpec.l1(), 0.5))
         assert new.allclose(theta)
 
     def test_frozen_block_never_moves(self):
@@ -57,7 +63,7 @@ class TestSteepestStep:
                            trainable=(True, False))
         for norm in (NormSpec.l1(), NormSpec.l2(), NormSpec.linf(),
                      NormSpec.spectral()):
-            new = step_steepest(theta, g, steepest(norm, 0.1), 0.1)
+            new = step_steepest(theta, g, steepest(norm, 0.1))
             np.testing.assert_array_equal(new.blocks[1], theta.blocks[1])
             assert not np.array_equal(new.blocks[0], theta.blocks[0])
 
@@ -65,8 +71,8 @@ class TestSteepestStep:
         theta = ParamVector.of(np.zeros(2))
         g = ParamVector.of(np.array([1.0, 2.0]))
         spec = steepest(NormSpec.l2(), 1.0)
-        a = step_steepest(theta, g.scaled(math.exp(-3.0)), spec, 1.0)
-        b = step_steepest(theta, g, spec, 1.0, log_scale=-3.0)
+        a = step_steepest(theta, g.scaled(math.exp(-3.0)), spec)
+        b = step_steepest(theta, g, spec, log_scale=-3.0)
         assert a.allclose(b, rtol=1e-12)
 
     def test_raw_step_decreases_loss_for_small_eta(self):
@@ -83,14 +89,14 @@ class TestSteepestStep:
         for norm in (NormSpec.l1(), NormSpec.l2(), NormSpec.linf()):
             eta = 1.0
             for _ in range(60):
-                new = step_steepest(theta, g, steepest(norm, eta), eta)
+                new = step_steepest(theta, g, steepest(norm, eta))
                 if log_loss(loss, output_margins(model, new, data)) < base:
                     break
                 eta *= 0.5
             else:
                 pytest.fail(f"no descent step found for {norm.kind}")
             for smaller in (eta / 2, eta / 8):
-                new = step_steepest(theta, g, steepest(norm, smaller), smaller)
+                new = step_steepest(theta, g, steepest(norm, smaller))
                 assert log_loss(loss, output_margins(model, new, data)) < base
 
 
@@ -178,7 +184,7 @@ class TestLeanSteepestStep:
         embedded = np.concatenate((unit.scaled(factor).flat(),
                                    np.zeros(theta.size - g_tr.size)))
         ref = theta + from_flat(embedded, theta.shapes(), theta.trainable)
-        new = step_steepest(theta, g, spec, 0.1, log_scale=log_scale)
+        new = step_steepest(theta, g, spec, log_scale=log_scale)
         assert new.flat().tobytes() == ref.flat().tobytes()
         assert new.trainable == theta.trainable
 
@@ -192,7 +198,7 @@ class TestLeanSteepestStep:
         flat[7] = bad
         g = theta.like(flat)
         with pytest.raises(NonFiniteError):
-            step_steepest(theta, g, steepest(norm, 0.1, normalized), 0.1)
+            step_steepest(theta, g, steepest(norm, 0.1, normalized))
 
     @pytest.mark.parametrize("normalized", [False, True],
                              ids=["raw", "normalized"])
@@ -200,7 +206,7 @@ class TestLeanSteepestStep:
     def test_zero_gradient_keeps_theta_bytes(self, norm, normalized):
         theta, _ = frozen_or_not(False)
         new = step_steepest(theta, theta.zeros_like(),
-                            steepest(norm, 0.1, normalized), 0.1, log_scale=3.0)
+                            steepest(norm, 0.1, normalized), log_scale=3.0)
         assert new.flat().tobytes() == theta.flat().tobytes()
 
 
@@ -252,7 +258,7 @@ class TestOnePassStep:
                 ref = theta
             else:
                 ref = theta.add_trainable(eta * dual * float(np.exp(log_scale)) * unit)
-            new = step_steepest(theta, g, steepest(norm, eta, normalized), eta,
+            new = step_steepest(theta, g, steepest(norm, eta, normalized),
                                 log_scale=log_scale)
             assert new.flat().tobytes() == ref.flat().tobytes(), name
 
@@ -262,14 +268,14 @@ class TestAdam:
         theta = ParamVector.of(np.array([1.0, 1.0]))
         g = ParamVector.of(np.array([0.5, -2.0]))
         spec = OptimizerSpec(AdamMethod(0.0, 0.0, 0.0), step_size=0.1)
-        new, _ = step_adam(theta, g, OptimizerState.fresh(), spec, 0.1)
+        new, _ = step_adam(theta, g, OptimizerState.fresh(), spec)
         np.testing.assert_array_equal(new.blocks[0], [0.9, 1.1])
 
     def test_bias_correction_first_step(self):
         theta = ParamVector.of(np.zeros(2))
         g = ParamVector.of(np.array([1.0, 0.0]))
         spec = OptimizerSpec(AdamMethod(0.9, 0.999, 0.0), step_size=1.0)
-        _, state = step_adam(theta, g, OptimizerState.fresh(), spec, 1.0)
+        _, state = step_adam(theta, g, OptimizerState.fresh(), spec)
         m_hat = state.adam_m / (1.0 - 0.9)
         np.testing.assert_allclose(m_hat, [1.0, 0.0])
 
@@ -295,14 +301,14 @@ class TestAdam:
         g = ParamVector.of(np.array([1.0, 1.0]))
         eps = 1e6
         spec = OptimizerSpec(AdamMethod(0.0, 0.0, eps), step_size=1.0)
-        new, _ = step_adam(theta, g, OptimizerState.fresh(), spec, 1.0)
+        new, _ = step_adam(theta, g, OptimizerState.fresh(), spec)
         np.testing.assert_allclose(new.blocks[0], -g.blocks[0] / eps, rtol=1e-5)
 
     def test_zero_coordinate_stays_put(self):
         theta = ParamVector.of(np.array([1.0, 1.0]))
         g = ParamVector.of(np.array([0.0, 2.0]))
         spec = OptimizerSpec(AdamMethod(0.0, 0.0, 0.0), step_size=0.1)
-        new, _ = step_adam(theta, g, OptimizerState.fresh(), spec, 0.1)
+        new, _ = step_adam(theta, g, OptimizerState.fresh(), spec)
         assert new.blocks[0][0] == 1.0
 
     def test_matches_normalized_sign_descent_bitwise(self):
@@ -320,8 +326,8 @@ class TestAdam:
         state = OptimizerState.fresh()
         for _ in range(50):
             g, _ = loss_subgradient(loss, model, theta, data)
-            via_sd = step_steepest(theta, g, sd_spec, eta)
-            via_adam, state = step_adam(theta, g, state, adam_spec, eta)
+            via_sd = step_steepest(theta, g, sd_spec)
+            via_adam, state = step_adam(theta, g, state, adam_spec)
             assert all(np.array_equal(a, b) for a, b in
                        zip(via_sd.blocks, via_adam.blocks))
             theta = via_adam
@@ -333,16 +339,16 @@ class TestShampoo:
         theta = ParamVector.of(np.zeros((2, 2)))
         g = ParamVector.of(np.diag([3.0, 1.0]))
         spec = OptimizerSpec(ShampooMethod(0.0), step_size=0.5)
-        new, _ = step_shampoo(theta, g, OptimizerState.fresh(), spec, 0.5)
+        new, _ = step_shampoo(theta, g, OptimizerState.fresh(), spec)
         np.testing.assert_allclose(new.blocks[0], -0.5 * np.eye(2), atol=1e-12)
 
     def test_zero_gradient_no_move(self):
         theta = ParamVector.of(np.ones((2, 3)))
         g = theta.zeros_like()
         spec = OptimizerSpec(ShampooMethod(0.0), step_size=0.5)
-        new, state = step_shampoo(theta, g, OptimizerState.fresh(), spec, 0.5)
+        new, state = step_shampoo(theta, g, OptimizerState.fresh(), spec)
         np.testing.assert_array_equal(new.blocks[0], theta.blocks[0])
-        assert not state.shampoo_left[0].any()
+        assert not state.shampoo[0][0].any()
 
     def test_first_step_equals_normalized_spectral_direction(self):
         rng = np.random.default_rng(3)
@@ -351,7 +357,7 @@ class TestShampoo:
         g = ParamVector.of(g_mat)
         eta = 0.7
         spec = OptimizerSpec(ShampooMethod(0.0), step_size=eta)
-        new, _ = step_shampoo(theta, g, OptimizerState.fresh(), spec, eta)
+        new, _ = step_shampoo(theta, g, OptimizerState.fresh(), spec)
         u, _, v = thin_svd(g_mat)
         np.testing.assert_allclose(new.blocks[0], -eta * (u @ v.T), atol=1e-8)
         direction = steepest_direction(NormSpec.spectral(), g)
@@ -364,17 +370,17 @@ class TestShampoo:
         spec = OptimizerSpec(ShampooMethod(0.0), step_size=0.1)
         state = OptimizerState.fresh()
         g1 = ParamVector.of(rng.standard_normal((3, 2)))
-        _, state = step_shampoo(theta, g1, state, spec, 0.1)
-        left_after_one = state.shampoo_left[0].copy()
-        _, state = step_shampoo(theta, g1, state, spec, 0.1)
-        np.testing.assert_allclose(state.shampoo_left[0], 2.0 * left_after_one,
+        _, state = step_shampoo(theta, g1, state, spec)
+        left_after_one = state.shampoo[0][0].copy()
+        _, state = step_shampoo(theta, g1, state, spec)
+        np.testing.assert_allclose(state.shampoo[0][0], 2.0 * left_after_one,
                                    rtol=1e-12)
 
     def test_vector_block_as_column(self):
         theta = ParamVector.of(np.zeros(3))
         g = ParamVector.of(np.array([3.0, 0.0, 4.0]))
         spec = OptimizerSpec(ShampooMethod(0.0), step_size=1.0)
-        new, _ = step_shampoo(theta, g, OptimizerState.fresh(), spec, 1.0)
+        new, _ = step_shampoo(theta, g, OptimizerState.fresh(), spec)
         np.testing.assert_allclose(new.blocks[0], [-0.6, 0.0, -0.8], atol=1e-12)
 
 
