@@ -132,13 +132,16 @@ def _json_data(value):
 
 
 def _cmd_diagnose(args) -> int:
+    t0 = args.gamma_tilde_t0
+    if t0 is not None and not 0.0 < t0 < math.inf:
+        raise ConfigError(f"--gamma-tilde-t0 must be finite and positive, got {t0}")
     model, theta = load_checkpoint(args.checkpoint)
     ds = data_mod.load_dataset(args.data)
     norm = parse_norm(args.norm)
     ev = evaluate(LossSpec(args.loss), model, theta, ds)
     rep = margin_report(ev, norm)
     try:
-        kkt = dataclasses.asdict(kkt_residuals(ev, rep, args.gamma_tilde_t0))
+        kkt = dataclasses.asdict(kkt_residuals(ev, rep, t0))
     except NotSeparatedError:
         kkt = None
     payload = {"margin_report": dataclasses.asdict(rep), "kkt_report": kkt}

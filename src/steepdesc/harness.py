@@ -563,14 +563,10 @@ CONFIG_KEYS = frozenset(_KEYS)
 
 
 def _optimizer(kind: str, norm: NormSpec, normalized: bool, step_size: float,
-               p: dict) -> OptimizerSpec:
-    """The optimizer ``kind``; Adam and Shampoo read their constants from ``p``."""
-    if kind == "steepest":
-        method = SteepestMethod(norm, normalized)
-    elif kind == "adam":
-        method = AdamMethod(p["beta1"], p["beta2"], p["adam_eps"])
-    else:
-        method = ShampooMethod(p["shampoo_eps_reg"])
+               adam: AdamMethod, shampoo: ShampooMethod) -> OptimizerSpec:
+    """The optimizer ``kind``, its step size checked by ``OptimizerSpec``."""
+    method = {"steepest": SteepestMethod(norm, normalized), "adam": adam,
+              "shampoo": shampoo}[kind]
     return OptimizerSpec(method=method, step_size=step_size)
 
 
@@ -589,12 +585,17 @@ def config_from_values(values: dict) -> RunConfig:
         model = (ModelSpec.linear(input_dim) if p["model_kind"] == LINEAR else
                  ModelSpec.two_layer_relu(input_dim, p["width"],
                                           p["freeze_second_layer"]))
+        # Adam's and Shampoo's constants and the switch's step size are
+        # checked by the specs that hold them, whichever optimizer runs.
+        adam = AdamMethod(p["beta1"], p["beta2"], p["adam_eps"])
+        shampoo = ShampooMethod(p["shampoo_eps_reg"])
         optimizer = _optimizer(p["optimizer"], p["norm"], p["normalized"],
-                               p["step_size"], p)
+                               p["step_size"], adam, shampoo)
+        switch = _optimizer(p.get("switch_to", "steepest"),
+                            p.get("switch_norm", p["norm"]), p["switch_normalized"],
+                            p.get("switch_step_size", p["step_size"]), adam, shampoo)
         if "switch_to" in p:
-            optimizer = replace(optimizer, switch_to=_optimizer(
-                p["switch_to"], p.get("switch_norm", p["norm"]),
-                p["switch_normalized"], p.get("switch_step_size", p["step_size"]), p))
+            optimizer = replace(optimizer, switch_to=switch)
         teacher = (TeacherSpec(input_dim, p["teacher_k"], p["teacher_active"],
                                p["teacher_weight_scale"], p["teacher_seed"])
                    if kind == "teacher" else None)

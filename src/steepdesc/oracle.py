@@ -26,10 +26,39 @@ class OracleResult:
     resolution: float
 
 
+# Most candidates one grid may hold: 1 << 26, 1.5 GiB of float64 triples.
+# The finest grid the tests and acceptance criteria build is 131,584 points
+# (l2, d = 3, resolution 2e-2); the default resolution 1e-3 in d = 3 needs
+# at most 33,562,624 (l2).
+MAX_GRID_POINTS = 1 << 26
+
+
+def _too_fine(resolution: float) -> ConfigError:
+    return ConfigError(f"resolution {resolution:g} needs more than "
+                       f"{MAX_GRID_POINTS} grid points")
+
+
 def _segments(span: float, resolution: float) -> int:
     """Power-of-two segment count covering ``span`` at step <= resolution."""
-    needed = max(1, math.ceil(span / resolution))
+    steps = span / resolution
+    if steps > MAX_GRID_POINTS:         # inf too, for a subnormal resolution
+        raise _too_fine(resolution)
+    needed = max(1, math.ceil(steps))
     return 1 << (needed - 1).bit_length()
+
+
+def _grid_points(kind: str, d: int, resolution: float) -> int:
+    """How many candidates the grid of ``kind`` in ``d`` dimensions holds."""
+    if d == 1:
+        return 2
+    if kind == L2:
+        n = _segments(2.0 * math.pi, resolution)
+        return n if d == 2 else (_segments(math.pi, resolution) + 1) * n
+    if kind == L1:
+        t = _segments(1.0, resolution) + 1      # grid values per axis
+        return 4 * t if d == 2 else 4 * t * (t + 1)     # 8 faces of t(t+1)/2
+    t = _segments(2.0, resolution) + 1
+    return 4 * t if d == 2 else 6 * t * t
 
 
 def _vector_norm_kind(spec: NormSpec) -> str:
@@ -126,6 +155,8 @@ def grid_max_margin(algo_norm: NormSpec, data, resolution: float = 1e-3) -> Orac
     if d > 3:
         raise ConfigError(f"grid oracle supports d <= 3, got d = {d}")
     kind = _vector_norm_kind(algo_norm)
+    if _grid_points(kind, d, resolution) > MAX_GRID_POINTS:
+        raise _too_fine(resolution)
     candidates = {L2: _l2_candidates, L1: _l1_candidates, LINF: _linf_candidates}[kind](
         d, resolution)
 

@@ -13,14 +13,21 @@ Call-order contract (relied on by dataset fixtures):
 Block draws: ``next_u64s(n)`` returns the next ``n`` outputs as a
 ``uint64`` array and leaves the state exactly where ``n`` calls of
 ``next_u64()`` would; ``uniforms`` and ``gaussians`` go through it. Below
-``LANE_MIN`` outputs it is the scalar loop. From there on it runs
+``LANE_MIN`` outputs it is one loop over four local Python ints that writes
+the two state words each output reads into a preallocated ``uint64`` array,
+with no call per output; the ++ scrambler, rotl(s0 + s3, 23) + s0, then runs
+once over those words in numpy, whose ``uint64`` sums wrap modulo 2^64 as
+the masked Python ones do. From ``LANE_MIN`` on it runs
 ``ceil(n / LANE_STEPS)`` copies of the generator side by side on numpy
-arrays, lane k starting at stream offset k * LANE_STEPS. The state update
-is linear over GF(2), so each lane's start is the previous one times the
-256x256 bit matrix T^LANE_STEPS: the XOR of the matrix rows that its set
-bits select. Row j is the unit state e_j advanced LANE_STEPS steps, all 256
-advanced together in lanes once per generator. Only integer bit operations
-are involved; no floating point, no BLAS.
+arrays, lane k starting at stream offset k * LANE_STEPS. A lane step updates
+four preallocated state rows in place through one scratch row, so it
+allocates nothing. The state update is linear over GF(2), so each lane's
+start is the previous one times the 256x256 bit matrix T^LANE_STEPS: the XOR
+of the matrix rows that its set bits select. Row j is the unit state e_j
+advanced LANE_STEPS steps, all 256 advanced together by the same lane update.
+The table depends on nothing but LANE_STEPS, so it is built once per process,
+on the first lane draw, and is read-only. Only integer bit operations are
+involved; no floating point, no BLAS.
 
 Box-Muller keeps ``math.log``, ``math.cos`` and ``math.sin``, mapped element
 by element. numpy's own ``log``, ``cos`` and ``sin`` may use SIMD kernels
@@ -31,6 +38,7 @@ products are correctly rounded IEEE operations, so numpy computes them.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -41,6 +49,8 @@ LANE_STEPS = 512            # outputs per lane in a block draw
 LANE_MIN = 1 << 14          # smallest block draw that runs in lanes
 
 _BIT_SHIFTS = np.arange(64, dtype=np.uint64)
+# shift counts of the numpy update and scrambler, as uint64 scalars
+_SH17, _SH19, _SH23, _SH41, _SH45 = (np.uint64(k) for k in (17, 19, 23, 41, 45))
 
 
 def splitmix64_stream(seed: int, n: int) -> list[int]:
@@ -60,25 +70,43 @@ def _rotl(x: int, k: int) -> int:
     return ((x << k) | (x >> (64 - k))) & _MASK64
 
 
-def _advance(s: np.ndarray) -> None:
-    """One xoshiro256 state update, in place, on a (4, lanes) uint64 array."""
-    t = s[1] << np.uint64(17)
-    s[2] ^= s[0]
-    s[3] ^= s[1]
-    s[1] ^= s[2]
-    s[0] ^= s[3]
-    s[2] ^= t
-    s[3] = (s[3] << np.uint64(45)) | (s[3] >> np.uint64(19))
+def _advance(s0, s1, s2, s3, tmp) -> None:
+    """One xoshiro256 state update, in place, on four uint64 rows.
+
+    ``tmp`` is a scratch row of the same length; nothing is allocated.
+    """
+    np.left_shift(s1, _SH17, out=tmp)
+    s2 ^= s0
+    s3 ^= s1
+    s1 ^= s2
+    s0 ^= s3
+    s2 ^= tmp
+    np.right_shift(s3, _SH19, out=tmp)
+    s3 <<= _SH45
+    s3 |= tmp
 
 
-def _jump_matrix() -> np.ndarray:
-    """T^LANE_STEPS over GF(2): row j is the unit state e_j advanced that far."""
+def _scramble(s0, s3, out, tmp) -> None:
+    """The ++ outputs rotl(s0 + s3, 23) + s0 into ``out``; ``tmp`` is scratch."""
+    np.add(s0, s3, out=tmp)
+    np.right_shift(tmp, _SH41, out=out)
+    tmp <<= _SH23
+    out |= tmp
+    out += s0
+
+
+@functools.cache
+def _jump_table() -> np.ndarray:
+    """T^LANE_STEPS over GF(2), read-only: row j is e_j advanced that far."""
     j = np.arange(256)
     s = np.zeros((4, 256), dtype=np.uint64)
     s[j // 64, j] = np.uint64(1) << (j % 64).astype(np.uint64)
+    tmp = np.empty(256, dtype=np.uint64)
     for _ in range(LANE_STEPS):
-        _advance(s)
-    return s.T.copy()
+        _advance(*s, tmp)
+    table = s.T.copy()
+    table.flags.writeable = False
+    return table
 
 
 def _apply_jump(jump: np.ndarray, state: np.ndarray) -> np.ndarray:
@@ -100,7 +128,6 @@ class Xoshiro256pp:
         if not any(state):
             state = splitmix64_stream(seed ^ 0xDEADBEEF, 4)
         self._s = state
-        self._jump = None           # T^LANE_STEPS, built by the first lane draw
 
     def next_u64(self) -> int:
         s = self._s
@@ -117,25 +144,43 @@ class Xoshiro256pp:
     def next_u64s(self, n: int) -> np.ndarray:
         """The next ``n`` outputs, in stream order, as a uint64 array."""
         if n < LANE_MIN:
-            return np.fromiter((self.next_u64() for _ in range(n)),
-                               dtype=np.uint64, count=n)
-        if self._jump is None:
-            self._jump = _jump_matrix()
+            return self._scalar_draw(n)
         lanes = -(-n // LANE_STEPS)
         s = np.empty((4, lanes), dtype=np.uint64)
         s[:, 0] = self._s
+        jump = _jump_table()
         for k in range(1, lanes):
-            s[:, k] = _apply_jump(self._jump, s[:, k - 1])
+            s[:, k] = _apply_jump(jump, s[:, k - 1])
+        s0, s1, s2, s3 = s
+        tmp = np.empty(lanes, dtype=np.uint64)
         out = np.empty((LANE_STEPS, lanes), dtype=np.uint64)
         last_steps = n - (lanes - 1) * LANE_STEPS
-        for i in range(LANE_STEPS):
-            x = s[0] + s[3]
-            np.bitwise_or(x << np.uint64(23), x >> np.uint64(41), out=out[i])
-            out[i] += s[0]
-            _advance(s)
+        for i, row in enumerate(out):
+            _scramble(s0, s3, row, tmp)
+            _advance(s0, s1, s2, s3, tmp)
             if i + 1 == last_steps:
                 self._s = [int(v) for v in s[:, -1]]
         return out.T.reshape(-1)[:n]
+
+    def _scalar_draw(self, n: int) -> np.ndarray:
+        """``next_u64s`` below LANE_MIN: the update on Python ints, one loop."""
+        s0, s1, s2, s3 = self._s
+        words = np.empty((2, n), dtype=np.uint64)
+        firsts, lasts = memoryview(words[0]), memoryview(words[1])
+        for i in range(n):
+            firsts[i] = s0
+            lasts[i] = s3
+            t = (s1 << 17) & _MASK64
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) & _MASK64) | (s3 >> 19)
+        self._s = [s0, s1, s2, s3]
+        out = np.empty(n, dtype=np.uint64)
+        _scramble(words[0], words[1], out, words[1])
+        return out
 
     def uniform(self) -> float:
         """Uniform double in [0, 1) using the top 53 bits of one output."""

@@ -18,6 +18,7 @@ from steepdesc.harness import load_config, parse_norm
 from steepdesc.losses import LossSpec, evaluate
 from steepdesc.models import (InitSpec, ModelSpec, init_params, load_checkpoint,
                               save_checkpoint)
+from steepdesc.oracle import MAX_GRID_POINTS
 from steepdesc.params import ParamVector
 
 
@@ -143,6 +144,24 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err, err
         assert "diverged" not in err
+        assert not (out / "run.csv").exists()
+
+    @pytest.mark.parametrize("line, key", [
+        ("beta1 = inf", "Adam betas"),
+        ("beta2 = 1.5", "Adam betas"),
+        ("adam_eps = nan", "Adam eps"),
+        ("shampoo_eps_reg = -1", "Shampoo eps_reg"),
+        ("switch_step_size = -1", "step_size"),
+    ], ids=["beta1 inf", "beta2 1.5", "adam_eps nan", "shampoo_eps_reg -1",
+            "switch_step_size -1"])
+    def test_out_of_range_value_of_an_unused_optimizer_exits_1(
+            self, tmp_path, toy_dataset, capsys, line, key):
+        """A steepest run with no switch still checks every real value's range."""
+        cfg, out = write_config(tmp_path, toy_dataset)
+        cfg.write_text(cfg.read_text() + line + "\n")
+        assert cli_main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err, err
         assert not (out / "run.csv").exists()
 
     @pytest.mark.parametrize("lines, key", [
@@ -295,6 +314,15 @@ class TestOracleCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: resolution must be finite and positive"), err
 
+    def test_grid_past_the_cap_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "points.csv"
+        export_csv(TWO_POINTS, path)
+        assert cli_main(["oracle", "--data", str(path),
+                         "--resolution=1e-300"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: resolution 1e-300 needs more than "
+                              f"{MAX_GRID_POINTS} grid points"), err
+
     @pytest.mark.parametrize("text, where", [
         ("y,x1,x2\n1,1.0,0.5\n-1,abc,0.5\n", ":3: "),
         ("y,x1,x2\n1,1.0,0.5\n-1,-1.0\n", ":3: 2 cells"),
@@ -368,6 +396,21 @@ class TestDiagnoseCommand:
         assert payload["margin_report"]["alignment"] is None
         assert payload["margin_report"]["grad_dual"] == 0.0
         assert payload["kkt_report"] is None
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "-inf"])
+    def test_gamma_tilde_t0_not_finite_and_positive_exits_1(
+            self, tmp_path, toy_dataset, capsys, value):
+        cfg, out = write_config(tmp_path, toy_dataset)
+        assert cli_main(["train", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        dest = tmp_path / "report.json"
+        assert cli_main(["diagnose", "--checkpoint", str(out / "final.ckpt"),
+                         "--data", str(toy_dataset), "--out", str(dest),
+                         f"--gamma-tilde-t0={value}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --gamma-tilde-t0 must be finite and "
+                              "positive"), err
+        assert not dest.exists()
 
     def test_report_file_output(self, tmp_path, toy_dataset):
         cfg, out = write_config(tmp_path, toy_dataset)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import struct
 import tempfile
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steepdesc import rng as rng_mod
 from steepdesc.data import (SAMPLE_CHUNK, Dataset, TeacherSpec, export_csv,
                             gen_teacher, load_dataset, load_idx,
                             load_points_csv, sample_dataset, save_dataset)
@@ -96,6 +98,51 @@ class TestRng:
     def test_derive_seeds_distinct(self):
         seeds = derive_seeds(0, 4)
         assert len(set(seeds)) == 4
+
+    def test_block_draws_known_answers(self):
+        """Pinned outputs and states of fixed seeds on both sides of
+        LANE_MIN: a faster block draw must reproduce them bit for bit."""
+        for seed, first in ((0, 5987356902031041503), (1, 14971601782005023387),
+                            (2024, 9674054429496410833)):
+            assert Xoshiro256pp(seed).next_u64s(1).tolist() == [first]
+        short = Xoshiro256pp(7)
+        drawn = short.next_u64s(100)
+        assert drawn[[0, 1, -1]].tolist() == [
+            1021219803524665661, 3174977118032272916, 15919690622596915240]
+        assert hashlib.sha256(drawn.astype("<u8").tobytes()).hexdigest() == (
+            "4f64e99212534f2f1ef817bb246db4cba9636f69ae064a5bc0c4d7315e99ec98")
+        assert short._s == [18218103773559020085, 9148771424312265909,
+                            10084941338447595992, 8538963646368820092]
+        long = Xoshiro256pp(7)
+        drawn = long.next_u64s(LANE_MIN + 3 * LANE_STEPS + 5)
+        assert drawn[[0, LANE_STEPS, -1]].tolist() == [
+            1021219803524665661, 4956270748466946925, 11995908155343939768]
+        assert hashlib.sha256(drawn.astype("<u8").tobytes()).hexdigest() == (
+            "fa9261e02ad6e4a553efa686f34bbb1fc3fd42b2172eb4279f50241715f36953")
+        assert long._s == [14520397666736771611, 1144545982060353363,
+                           17463395394946385031, 6464208454437234384]
+        assert long.next_u64() == 15313603206870937153
+
+    @pytest.mark.parametrize("n", [*range(41), LANE_MIN - 1, LANE_MIN,
+                                   LANE_MIN + LANE_STEPS - 1])
+    def test_block_draw_equals_scalar_calls_at_the_edges(self, n):
+        block, scalar = Xoshiro256pp(n), Xoshiro256pp(n)
+        drawn = block.next_u64s(n)
+        assert drawn.dtype == np.uint64 and drawn.shape == (n,)
+        assert drawn.tolist() == [scalar.next_u64() for _ in range(n)]
+        assert block._s == scalar._s
+        assert block.next_u64() == scalar.next_u64()
+
+    def test_generators_share_one_read_only_jump_table(self):
+        a, b = Xoshiro256pp(1), Xoshiro256pp(2)
+        a.next_u64s(LANE_MIN)
+        table = rng_mod._jump_table()
+        before = table.copy()
+        b.next_u64s(LANE_MIN + LANE_STEPS)
+        assert rng_mod._jump_table() is table
+        assert not table.flags.writeable
+        np.testing.assert_array_equal(table, before)
+        assert not hasattr(a, "_jump") and not hasattr(b, "_jump")
 
     @settings(max_examples=30, deadline=None)
     @given(seed=SEEDS, sizes=st.lists(BLOCK_SIZES, min_size=1, max_size=2))

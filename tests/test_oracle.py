@@ -87,6 +87,15 @@ class TestGridMaxMargin:
         with pytest.raises(ValueError):
             grid_max_margin(NormSpec.l2(), data)
 
+    def test_grid_points_count_the_built_candidates(self):
+        grids = {"l2": oracle._l2_candidates, "l1": oracle._l1_candidates,
+                 "linf": oracle._linf_candidates}
+        for kind, grid in grids.items():
+            for d in (1, 2, 3):
+                for resolution in (0.5, 0.05, 0.013):
+                    assert (oracle._grid_points(kind, d, resolution)
+                            == grid(d, resolution).shape[0]), (kind, d, resolution)
+
     def test_spectral_alias_matches_l2(self):
         a = grid_max_margin(NormSpec.l2(), SYMMETRIC_PAIR, resolution=1e-2)
         b = grid_max_margin(NormSpec.spectral(), SYMMETRIC_PAIR, resolution=1e-2)
