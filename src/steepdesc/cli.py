@@ -189,6 +189,8 @@ def _cmd_sweep(args) -> int:
             final = log.rows[-1]
             rows.append((seed, scale, 0, final.test_acc, final.gamma_1,
                          final.gamma_2, final.gamma_inf))
+        except ConfigError:     # e.g. a teacher no run can draw: not a divergence
+            raise
         except SteepdescError as exc:
             print(f"seed {seed} scale {scale:g}: {exc}", file=sys.stderr)
             rows.append((seed, scale, 1, None, None, None, None))

@@ -50,15 +50,12 @@ class TeacherSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.input_dim < 1 or self.width < 1:
+        """Each field's own range; ``gen_teacher`` checks that
+        ``active_per_neuron <= input_dim``, where a teacher is drawn."""
+        if min(self.input_dim, self.width, self.active_per_neuron) < 1:
             raise ConfigError("teacher dimensions must be positive")
-        if not (1 <= self.active_per_neuron <= self.input_dim):
-            raise ConfigError("active_per_neuron must be in [1, input_dim]")
         if not 0.0 < self.weight_scale < math.inf:
             raise ConfigError("weight_scale must be finite and positive")
-
-    def model(self) -> ModelSpec:
-        return ModelSpec.two_layer_relu(self.input_dim, self.width)
 
 
 @dataclass(frozen=True)
@@ -96,6 +93,8 @@ class Dataset:
 def gen_teacher(spec: TeacherSpec) -> ParamVector:
     """Sparse one-hidden-layer teacher: each first-layer row has exactly
     ``active_per_neuron`` nonzero weights, uniform in +/- weight_scale."""
+    if spec.active_per_neuron > spec.input_dim:
+        raise ConfigError("active_per_neuron must be in [1, input_dim]")
     rng = Xoshiro256pp(spec.seed)
     s = spec.weight_scale
     w = np.zeros((spec.width, spec.input_dim))

@@ -140,7 +140,8 @@ def kkt_residuals(ev: Evaluation, rep: MarginReport,
     algorithm's geometry for the Bregman gap
     0.5||s||*^2 - 0.5||k||*^2 - <theta~, s - k>. Bounds require the
     separation-time soft margin. The vectors compared are flat arrays over
-    theta~'s trainable prefix.
+    theta~'s trainable prefix. The complementarity bound divides by
+    -log-loss, so it exists only where the log-loss is negative.
     """
     degree = ev.model.homogeneity_degree
     algo_norm, q_min, dual_hat = rep.algo_norm, rep.q_min, rep.grad_dual
@@ -175,7 +176,8 @@ def kkt_residuals(ev: Evaluation, rep: MarginReport,
     if gamma_tilde_t0 is not None and gamma_tilde_t0 > 0.0:
         gt0 = gamma_tilde_t0 ** (2.0 / degree)
         bregman_bound = (1.0 - rep.alignment) / gt0
-        delta_bound = len(ev.q) / (math.e * gt0 * degree * (-ev.log_loss))
+        if ev.log_loss < 0.0:
+            delta_bound = len(ev.q) / (math.e * gt0 * degree * (-ev.log_loss))
 
     return KKTReport(log_lambda=log_lambda, eps=eps, delta=delta,
                      bregman_gap=gap, bregman_bound=bregman_bound,

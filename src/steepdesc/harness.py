@@ -276,12 +276,13 @@ def check_invariants(config: RunConfig, log: RunLog) -> list[str]:
 
     Checks, on post-separation rows: the soft/hard margin sandwich
     (exponential loss), soft-margin monotonicity up to 1e-6 + 10*eta per
-    interval, strictly decreasing log-loss while stepping, the finite-time
+    interval (eta of the switched-to optimizer, which steps them all),
+    strictly decreasing log-loss while stepping, the finite-time
     stationarity bounds, nonnegative complementarity, and the alignment
     cap.
     """
     out: list[str] = []
-    eta = config.optimizer.step_size
+    eta = (config.optimizer.switch_to or config.optimizer).step_size
     slack = 1e-6 + 10.0 * eta
     degree = config.model.homogeneity_degree
     post = [r for r in log.rows if r.t0_flag]
@@ -596,10 +597,11 @@ def config_from_values(values: dict) -> RunConfig:
                             p.get("switch_step_size", p["step_size"]), adam, shampoo)
         if "switch_to" in p:
             optimizer = replace(optimizer, switch_to=switch)
-        teacher = (TeacherSpec(input_dim, p["teacher_k"], p["teacher_active"],
-                               p["teacher_weight_scale"], p["teacher_seed"])
-                   if kind == "teacher" else None)
-        data = DataSource(kind, teacher, train_m=p.get("train_m", 0),
+        # built on every config, so the teacher keys' ranges are checked
+        teacher = TeacherSpec(input_dim, p["teacher_k"], p["teacher_active"],
+                              p["teacher_weight_scale"], p["teacher_seed"])
+        data = DataSource(kind, teacher if kind == "teacher" else None,
+                          train_m=p.get("train_m", 0),
                           data_seed=p.get("data_seed"), test_m=p["test_m"],
                           dataset_path=p.get("dataset_path"),
                           idx_images=p.get("idx_images"),

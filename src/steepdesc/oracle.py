@@ -1,21 +1,25 @@
 """Brute-force max-margin ground truth for tiny linear instances.
 
 Exhaustively searches the unit sphere of the algorithm norm (d <= 3) for
-the direction maximizing the worst signed output margin. Grids use
-power-of-two segment counts so halving the resolution yields a strict
-superset of candidates, which makes refinement monotone. Dependency-free
-by design: this is the independent check against which the optimizers'
-end-of-run directions are certified.
+the direction maximizing the worst signed output margin: on an angle grid
+for l2, face by face for l1 and l-infinity. Grids use power-of-two segment
+counts so halving the resolution yields a strict superset of candidates,
+which makes refinement monotone; each grid is counted against
+``MAX_GRID_POINTS`` before any axis of it is built. Dependency-free by
+design: the independent check on the optimizers' end-of-run directions.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import product
+from operator import sub
 
 import numpy as np
 
 from .errors import ConfigError
-from .norms import L1, L2, LINF, MODULAR_MAX, SPECTRAL, NormSpec
+from .norms import L1, L2, MODULAR_MAX, SPECTRAL, NormSpec
 from .params import ParamVector
 
 
@@ -27,46 +31,28 @@ class OracleResult:
 
 
 # Most candidates one grid may hold: 1 << 26, 1.5 GiB of float64 triples.
-# The finest grid the tests and acceptance criteria build is 131,584 points
-# (l2, d = 3, resolution 2e-2); the default resolution 1e-3 in d = 3 needs
-# at most 33,562,624 (l2).
+# Tests build at most 131,584 (l2, d = 3, resolution 2e-2); the default
+# resolution 1e-3 in d = 3 needs at most 33,562,624 (l2).
 MAX_GRID_POINTS = 1 << 26
 
 
-def _too_fine(resolution: float) -> ConfigError:
-    return ConfigError(f"resolution {resolution:g} needs more than "
-                       f"{MAX_GRID_POINTS} grid points")
+def _check_size(points: float, resolution: float) -> None:
+    if points > MAX_GRID_POINTS:        # inf too, for a subnormal resolution
+        raise ConfigError(f"resolution {resolution:g} needs more than "
+                          f"{MAX_GRID_POINTS} grid points")
 
 
 def _segments(span: float, resolution: float) -> int:
     """Power-of-two segment count covering ``span`` at step <= resolution."""
     steps = span / resolution
-    if steps > MAX_GRID_POINTS:         # inf too, for a subnormal resolution
-        raise _too_fine(resolution)
+    _check_size(steps, resolution)
     needed = max(1, math.ceil(steps))
     return 1 << (needed - 1).bit_length()
 
 
-def _grid_points(kind: str, d: int, resolution: float) -> int:
-    """How many candidates the grid of ``kind`` in ``d`` dimensions holds."""
-    if d == 1:
-        return 2
-    if kind == L2:
-        n = _segments(2.0 * math.pi, resolution)
-        return n if d == 2 else (_segments(math.pi, resolution) + 1) * n
-    if kind == L1:
-        t = _segments(1.0, resolution) + 1      # grid values per axis
-        return 4 * t if d == 2 else 4 * t * (t + 1)     # 8 faces of t(t+1)/2
-    t = _segments(2.0, resolution) + 1
-    return 4 * t if d == 2 else 6 * t * t
-
-
 def _vector_norm_kind(spec: NormSpec) -> str:
-    """Reduce a NormSpec to its flat-vector meaning for a linear model.
-
-    A single-block spectral norm of a vector is its l2 norm; a modular
-    composite over one block is that block's norm.
-    """
+    """A NormSpec's flat-vector meaning for a linear model: a single-block
+    spectral norm is l2, a one-block modular norm is that block's norm."""
     kind = spec.kind
     if kind == MODULAR_MAX:
         if len(spec.block_norms) != 1:
@@ -77,68 +63,46 @@ def _vector_norm_kind(spec: NormSpec) -> str:
     return kind
 
 
-def _l2_candidates(d: int, resolution: float) -> np.ndarray:
+def _faces(kind: str, d: int, resolution: float) -> np.ndarray:
+    """The l1 or l-infinity unit sphere as faces, each a grid over d - 1
+    coordinates. An l1 face is the simplex t >= 0, sum(t) <= 1, completed
+    by 1 - t_1 - t_2 ..., under one sign pattern (pattern b has coordinate
+    i positive iff bit i of b is set); an l-infinity face grids [-1, 1] and
+    holds one coordinate, in order, at +1 and then at -1."""
+    lo = 0.0 if kind == L1 else -1.0
+    n = _segments(1.0 - lo, resolution)
+    if kind == L1:
+        _check_size(2**d * math.comb(n + d - 1, d - 1), resolution)
+    else:
+        _check_size(2 * d * (n + 1) ** (d - 1), resolution)
+    axes = np.meshgrid(*[np.linspace(lo, 1.0, n + 1)] * (d - 1), indexing="ij")
+    grid = np.stack([a.ravel() for a in axes], axis=1)
+    if kind == L1:
+        grid = grid[grid.sum(axis=1) <= 1.0 + 1e-15]
+        simplex = np.column_stack([grid, reduce(sub, grid.T, 1.0)])
+        return np.concatenate([simplex * np.array(signs[::-1])
+                               for signs in product((-1.0, 1.0), repeat=d)])
+    return np.concatenate([np.insert(grid, axis, sign, axis=1)
+                           for axis in range(d) for sign in (1.0, -1.0)])
+
+
+def _candidates(kind: str, d: int, resolution: float) -> np.ndarray:
+    """Candidate directions on the unit sphere of ``kind`` in ``d`` dims."""
     if d == 1:
         return np.array([[-1.0], [1.0]])
-    if d == 2:
-        n = _segments(2.0 * math.pi, resolution)
-        ang = np.arange(n) * (2.0 * math.pi / n)
-        return np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    n_phi = _segments(math.pi, resolution)
+    if kind != L2:
+        return _faces(kind, d, resolution)
+    # a longitude ring (d = 2), or one at each polar angle (d = 3)
     n_psi = _segments(2.0 * math.pi, resolution)
-    phi = np.linspace(0.0, math.pi, n_phi + 1)
+    n_phi = _segments(math.pi, resolution) if d == 3 else 0
+    _check_size((n_phi + 1) * n_psi, resolution)
     psi = np.arange(n_psi) * (2.0 * math.pi / n_psi)
-    pp, ss = np.meshgrid(phi, psi, indexing="ij")
+    if d == 2:
+        return np.stack([np.cos(psi), np.sin(psi)], axis=1)
+    pp, ss = np.meshgrid(np.linspace(0.0, math.pi, n_phi + 1), psi, indexing="ij")
     return np.stack([np.sin(pp) * np.cos(ss),
                      np.sin(pp) * np.sin(ss),
                      np.cos(pp)], axis=-1).reshape(-1, 3)
-
-
-def _sign_patterns(d: int) -> np.ndarray:
-    out = []
-    for bits in range(2**d):
-        out.append([1.0 if bits & (1 << i) else -1.0 for i in range(d)])
-    return np.array(out)
-
-
-def _l1_candidates(d: int, resolution: float) -> np.ndarray:
-    """Points on the l1 unit sphere, one face (sign pattern) at a time."""
-    if d == 1:
-        return np.array([[-1.0], [1.0]])
-    n = _segments(1.0, resolution)
-    t = np.linspace(0.0, 1.0, n + 1)
-    if d == 2:
-        base = np.stack([t, 1.0 - t], axis=1)
-    else:
-        t1, t2 = np.meshgrid(t, t, indexing="ij")
-        keep = t1 + t2 <= 1.0 + 1e-15
-        base = np.stack([t1[keep], t2[keep], 1.0 - t1[keep] - t2[keep]], axis=1)
-    faces = [base * signs for signs in _sign_patterns(d)]
-    return np.concatenate(faces, axis=0)
-
-
-def _linf_candidates(d: int, resolution: float) -> np.ndarray:
-    """Points on the l-infinity unit sphere: each face fixes one coordinate."""
-    if d == 1:
-        return np.array([[-1.0], [1.0]])
-    n = _segments(2.0, resolution)
-    t = np.linspace(-1.0, 1.0, n + 1)
-    out = []
-    for axis in range(d):
-        for sign in (1.0, -1.0):
-            if d == 2:
-                face = np.empty((t.size, 2))
-                face[:, axis] = sign
-                face[:, 1 - axis] = t
-            else:
-                a, b = np.meshgrid(t, t, indexing="ij")
-                face = np.empty((a.size, 3))
-                others = [i for i in range(3) if i != axis]
-                face[:, axis] = sign
-                face[:, others[0]] = a.ravel()
-                face[:, others[1]] = b.ravel()
-            out.append(face)
-    return np.concatenate(out, axis=0)
 
 
 def grid_max_margin(algo_norm: NormSpec, data, resolution: float = 1e-3) -> OracleResult:
@@ -154,11 +118,7 @@ def grid_max_margin(algo_norm: NormSpec, data, resolution: float = 1e-3) -> Orac
     d = X.shape[1]
     if d > 3:
         raise ConfigError(f"grid oracle supports d <= 3, got d = {d}")
-    kind = _vector_norm_kind(algo_norm)
-    if _grid_points(kind, d, resolution) > MAX_GRID_POINTS:
-        raise _too_fine(resolution)
-    candidates = {L2: _l2_candidates, L1: _l1_candidates, LINF: _linf_candidates}[kind](
-        d, resolution)
+    candidates = _candidates(_vector_norm_kind(algo_norm), d, resolution)
 
     signed = X * y[:, None]            # margin of theta is min(signed @ theta)
     best_gamma = -math.inf

@@ -164,6 +164,40 @@ class TestTrainCommand:
         assert err.startswith("error: ") and key in err, err
         assert not (out / "run.csv").exists()
 
+    @pytest.mark.parametrize("line, error", [
+        ("teacher_k = 0", "teacher dimensions must be positive"),
+        ("teacher_active = 0", "teacher dimensions must be positive"),
+        ("teacher_weight_scale = -1", "weight_scale must be finite and positive"),
+        ("teacher_weight_scale = nan", "weight_scale must be finite and positive"),
+    ])
+    def test_out_of_range_teacher_key_of_a_dataset_run_exits_1(
+            self, tmp_path, toy_dataset, capsys, line, error):
+        """A linear dataset run checks the ranges of the teacher keys too."""
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(LINEAR_CONFIG.format(data=toy_dataset)
+                       + f"output_dir = {out}\n{line}\n")
+        assert cli_main(["train", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not (out / "run.csv").exists()
+
+    def test_active_inputs_past_input_dim_matter_only_to_a_drawn_teacher(
+            self, tmp_path, toy_dataset, capsys):
+        """input_dim = 2 with teacher_active = 3 trains on a dataset and is
+        an error where a teacher is drawn."""
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(LINEAR_CONFIG.format(data=toy_dataset)
+                       + f"output_dir = {out}\nteacher_active = 3\n")
+        assert cli_main(["train", "--config", str(cfg)]) == 0
+        assert (out / "run.csv").exists()
+        (tmp_path / "drawn").mkdir()
+        cfg, out = write_config(tmp_path / "drawn", toy_dataset)
+        cfg.write_text(cfg.read_text() + TEACHER + "teacher_active = 3\n")
+        assert cli_main(["train", "--config", str(cfg)]) == 1
+        assert "active_per_neuron must be in [1, input_dim]" in capsys.readouterr().err
+        assert not (out / "run.csv").exists()
+
     @pytest.mark.parametrize("lines, key", [
         ("init_scale = true", "init_scale"),
         ("step_size = true", "step_size"),
@@ -547,6 +581,19 @@ diagnostics_norms = l2
                          "--output-dir", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    def test_a_teacher_that_cannot_be_drawn_exits_1(self, tmp_path, capsys):
+        """teacher_active > input_dim fails the sweep, not each run as a
+        divergence."""
+        cfg = tmp_path / "teacher.cfg"
+        cfg.write_text("model_kind = linear\ninput_dim = 2\ntrain_m = 8\n"
+                       "teacher_active = 3\nepochs = 20\n")
+        out = tmp_path / "sweep"
+        assert cli_main(["sweep", "--config", str(cfg), "--seeds", "1,2",
+                         "--output-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: active_per_neuron must be in [1, input_dim]\n")
+        assert not (out / "sweep.csv").exists()
 
     def test_seeds_read_as_the_seed_key_reads_them(self, tmp_path, toy_dataset):
         """``--seeds 1e0`` is seed 1, as ``seed = 1e0`` in a file is."""

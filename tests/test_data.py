@@ -201,7 +201,8 @@ class TestSampleDataset:
         teacher = gen_teacher(spec)
         ds = sample_dataset(teacher, 100, seed=5)
         assert set(np.unique(ds.y)) <= {-1.0, 1.0}
-        f = forward_batch(spec.model(), teacher, ds.X)
+        model = ModelSpec.two_layer_relu(spec.input_dim, spec.width)
+        f = forward_batch(model, teacher, ds.X)
         np.testing.assert_array_equal(np.sign(f), ds.y)
 
     def test_determinism(self):

@@ -246,6 +246,17 @@ class TestKKTResiduals:
         with pytest.raises(NotSeparatedError):
             l2_kkt(model, theta, data)
 
+    def test_no_delta_bound_where_log_loss_is_not_negative(self):
+        """The bound divides by -log-loss: a separated point whose log-loss
+        is positive has none, and the Bregman bound is unaffected."""
+        model, theta, data = linear_instance(
+            [0.1, 0.0], [[1.0, 0.2], [0.8, -0.3], [-1.0, 0.1], [-0.7, 0.4]],
+            [1.0, 1.0, -1.0, -1.0])
+        ev = evaluate(EXP, model, theta, data)
+        assert ev.q.min() > 0.0 and ev.log_loss > 0.0
+        rep = l2_kkt(model, theta, data, gamma_tilde_t0=0.5)
+        assert rep.delta_bound is None and rep.bregman_bound is not None
+
     def test_bounds_require_t0_margin(self):
         model, theta, data = linear_instance([2.0, 0.0], [[1.0, 0.0]], [1.0])
         rep = l2_kkt(model, theta, data)

@@ -1,4 +1,5 @@
 import re
+import struct
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -12,10 +13,12 @@ from steepdesc.cli import cli_main
 from steepdesc.data import Dataset, save_dataset
 from steepdesc.errors import ConfigError, DivergenceError
 from steepdesc.harness import (_KEYS, _TABLE, ACCURACY_CHUNK, CONFIG_KEYS,
-                               CSV_COLUMNS, DataSource, RunConfig, _flag,
-                               _integer, _real, _text, config_from_values,
+                               CSV_COLUMNS, DataSource, LogRow, RunConfig,
+                               RunLog, _flag, _integer, _real, _text,
+                               check_invariants, config_from_values,
                                emit_csv, emit_svg, evaluate_accuracy,
-                               parse_norm, read_flat_config, run_training)
+                               load_config, parse_norm, read_flat_config,
+                               run_training)
 from steepdesc.losses import LossSpec, output_margins
 from steepdesc.models import InitSpec, ModelSpec
 from steepdesc.norms import NormSpec
@@ -139,6 +142,35 @@ class TestRunTraining:
         warnings = check_invariants(config, log)
         assert any("soft margin fell" in w for w in warnings)
         assert any("did not decrease" in w for w in warnings)
+
+
+def _post_separation_row(step, soft_margin, log_loss, norm):
+    """A logged post-separation row of a linear run on four points that
+    meets every invariant but the soft margin's."""
+    return LogRow(step=step, log_loss=log_loss, train_acc=1.0, test_acc=None,
+                  q_min=norm, gamma_1=1.0, gamma_2=1.0, gamma_inf=1.0,
+                  gamma_sigma=1.0, soft_margin=soft_margin, alignment=0.9,
+                  kkt_eps=None, kkt_delta=None, bregman_gap=None,
+                  bregman_bound=None, t0_flag=True, gamma_algo=1.0,
+                  norm_algo=norm)
+
+
+class TestCheckInvariants:
+    @pytest.mark.parametrize("switch_eta, warned", [(1e-4, True), (None, False)],
+                             ids=["switched to 1e-4", "no switch"])
+    def test_soft_margin_slack_is_that_of_the_switched_to_step_size(
+            self, switch_eta, warned):
+        """Post-separation intervals run under ``switch_to``: a soft-margin
+        drop of 0.5 is within 10 * 0.1 but not within 10 * 1e-4."""
+        switch = (None if switch_eta is None else
+                  OptimizerSpec(SteepestMethod(NormSpec.l2()), step_size=switch_eta))
+        config = toy_config(model=ModelSpec.linear(2), optimizer=OptimizerSpec(
+            SteepestMethod(NormSpec.l2()), step_size=0.1, switch_to=switch))
+        log = RunLog(rows=[_post_separation_row(0, 1.0, -1.0, 1.0),
+                           _post_separation_row(10, 0.5, -2.0, 2.0)],
+                     t0_step=0, train_m=4)
+        assert check_invariants(config, log) == (
+            ["step 10: soft margin fell 1.0 -> 0.5"] if warned else [])
 
 
 class TestEvaluateAccuracy:
@@ -429,6 +461,35 @@ class TestDataSourceResolution:
         train, test = resolve_data(config)
         assert train.m == 12 and test.m == 6
         assert train.d == 2
+
+    def test_idx_source_through_a_config(self, tmp_path):
+        """data_kind = idx keeps the first train_m images of digit_a (+1) or
+        digit_b (-1), in file order, and a linear run on them trains."""
+        from steepdesc.harness import resolve_data
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        pixels = np.arange(24, dtype=np.uint8).reshape(6, 2, 2) * 10
+        images.write_bytes(struct.pack(">IIII", 2051, 6, 2, 2) + pixels.tobytes())
+        labels.write_bytes(struct.pack(">II", 2049, 6) + bytes([3, 6, 1, 3, 6, 6]))
+        cfg = tmp_path / "idx.cfg"
+        cfg.write_text(f"""model_kind = linear
+input_dim = 4
+data_kind = idx
+idx_images = {images}
+idx_labels = {labels}
+train_m = 4
+digit_a = 3
+digit_b = 6
+epochs = 20
+log_every = 10
+output_dir = {tmp_path / "out"}
+""")
+        train, test = resolve_data(load_config(cfg))
+        assert test is None
+        assert train.X.tobytes() == (pixels.reshape(6, 4)[[0, 1, 3, 4]]
+                                     / 255.0).tobytes()
+        assert train.y.tolist() == [1.0, -1.0, 1.0, -1.0]
+        assert cli_main(["train", "--config", str(cfg)]) == 0
+        assert (tmp_path / "out" / "run.csv").exists()
 
     def test_stpd_source(self, tmp_path):
         from steepdesc.harness import resolve_data

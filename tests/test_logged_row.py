@@ -194,7 +194,8 @@ def ref_kkt_residuals(ev, algo, gamma_tilde_t0=None):
         align = ref_alignment(ev, algo)
         gt0 = gamma_tilde_t0 ** (2.0 / degree)
         bregman_bound = (1.0 - align) / gt0
-        delta_bound = len(y) / (math.e * gt0 * degree * (-ev.log_loss))
+        if ev.log_loss < 0.0:
+            delta_bound = len(y) / (math.e * gt0 * degree * (-ev.log_loss))
     return diagnostics.KKTReport(log_lambda=log_lambda, eps=eps, delta=delta,
                                  bregman_gap=gap, bregman_bound=bregman_bound,
                                  delta_bound=delta_bound)
