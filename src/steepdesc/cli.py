@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     o = sub.add_parser("oracle", help="grid max-margin on a tiny linear instance")
     o.add_argument("--norm", default="l2")
-    o.add_argument("--data", required=True, help=".csv or .stpd instance, d <= 3")
+    o.add_argument("--data", required=True, help=".csv or .stpd instance, 1 <= d <= 3")
     o.add_argument("--resolution", type=float, default=1e-3)
 
     s = sub.add_parser("sweep", help="seed/scale grid over a base config")

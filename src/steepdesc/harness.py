@@ -43,7 +43,7 @@ from .params import ParamVector
 from .rng import derive_seeds
 
 FREEZE_LOG_LOSS = -700.0
-ACCURACY_CHUNK = 1024     # rows per hidden-layer product in evaluate_accuracy
+ACCURACY_CHUNK = 1024     # evaluate_accuracy's block when given no buffer
 
 CSV_COLUMNS = ("step", "log_loss", "train_acc", "test_acc", "q_min",
                "gamma_1", "gamma_2", "gamma_inf", "gamma_sigma", "soft_margin",
@@ -160,22 +160,27 @@ def resolve_data(config: RunConfig) -> tuple[Dataset, Optional[Dataset]]:
     return train, None
 
 
-def evaluate_accuracy(model: ModelSpec, theta: ParamVector, data) -> float:
+def evaluate_accuracy(model: ModelSpec, theta: ParamVector, data,
+                      hidden: np.ndarray | None = None) -> float:
     """Fraction of examples with y*f > 0; exact zeros count as errors.
-    Rows are scored ``ACCURACY_CHUNK`` at a time through one reused buffer."""
-    hidden = np.empty((min(ACCURACY_CHUNK, len(data.X)), model.width))
+    Rows are scored ``len(hidden)`` at a time through the (rows, width)
+    scratch buffer ``hidden``, a new one of at most ``ACCURACY_CHUNK`` rows
+    when not given."""
+    if hidden is None:
+        hidden = np.empty((min(ACCURACY_CHUNK, len(data.X)), model.width))
     q = output_margins(model, theta, data, hidden)
     return float((q > 0.0).mean())
 
 
 def _build_row(step: int, ev: Evaluation, rep: MarginReport,
                test: Optional[Dataset], t0_known: bool,
-               gamma_tilde_t0: Optional[float], frozen: bool) -> LogRow:
+               gamma_tilde_t0: Optional[float], frozen: bool,
+               hidden: Optional[np.ndarray] = None) -> LogRow:
     row = LogRow(
         step=step,
         log_loss=rep.log_loss,
         train_acc=float(np.count_nonzero(ev.q > 0.0) / len(ev.q)),
-        test_acc=(evaluate_accuracy(ev.model, ev.theta, test)
+        test_acc=(evaluate_accuracy(ev.model, ev.theta, test, hidden)
                   if test is not None else None),
         q_min=rep.q_min,
         gamma_1=rep.gamma_1,
@@ -223,7 +228,9 @@ def run_training(config: RunConfig, train: Optional[Dataset] = None,
     opt_spec = config.optimizer
     state = OptimizerState.fresh()
     log = RunLog(train_m=train.m)
-    hidden = np.empty((train.m, model.width))    # reused by every evaluate
+    # reused by every evaluate, then by the logged row's test accuracy:
+    # nothing an Evaluation holds is a view of it
+    hidden = np.empty((train.m, model.width))
 
     for step in range(config.epochs + 1):
         logged = step % config.log_every == 0 or step == config.epochs
@@ -247,7 +254,7 @@ def run_training(config: RunConfig, train: Optional[Dataset] = None,
                 opt_spec, state = apply_switch(opt_spec, state)
             log.rows.append(_build_row(step, ev, rep, test,
                                        log.t0_step is not None,
-                                       log.gamma_tilde_t0, frozen))
+                                       log.gamma_tilde_t0, frozen, hidden))
 
         if frozen or step == config.epochs:
             continue
@@ -350,7 +357,8 @@ def emit_svg(log: RunLog, metrics, axes: Optional[dict] = None, path=None) -> st
     """Self-contained SVG line chart of logged metrics against step.
 
     ``axes`` maps "x"/"y" to "linear" or "log"; points that cannot be
-    placed on a log axis (nonpositive values) are skipped with a warning.
+    placed on a log axis (nonpositive values) are skipped with a warning,
+    and a ``ConfigError`` names the columns when no point is left.
     Returns the SVG text; writes it when ``path`` is given.
     """
     axes = axes or {}
@@ -381,7 +389,8 @@ def emit_svg(log: RunLog, metrics, axes: Optional[dict] = None, path=None) -> st
 
     all_pts = [p for pts in series.values() for p in pts]
     if not all_pts:
-        raise ValueError("emit_svg: no drawable points")
+        raise ConfigError(f"emit_svg: no drawable points in column(s) "
+                          f"{', '.join(metrics)}")
     xs, ys = zip(*all_pts)
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)

@@ -121,7 +121,8 @@ def forward_batch(model: ModelSpec, theta: ParamVector, X: np.ndarray,
 
     A two-layer model writes relu(X @ W.T) into ``hidden`` (a new one for
     all rows when not given) in chunks of its row count; it ends holding the
-    last chunk.
+    last chunk. A given ``hidden`` must be a float64 (rows >= 1, width)
+    array.
     """
     _check_params(model, theta)
     X = np.asarray(X, dtype=np.float64)
@@ -133,6 +134,10 @@ def forward_batch(model: ModelSpec, theta: ParamVector, X: np.ndarray,
     w, u = theta.blocks
     if hidden is None:
         hidden = np.empty((max(len(X), 1), model.width))
+    elif (hidden.ndim != 2 or hidden.dtype != np.float64 or len(hidden) < 1
+          or hidden.shape[1] != model.width):
+        raise ShapeMismatchError(f"hidden buffer must be float64 of shape (rows >= 1, "
+                                 f"{model.width}), got {hidden.dtype} {hidden.shape}")
     f = np.empty(len(X))
     for start in range(0, len(X), len(hidden)):
         rows = X[start:start + len(hidden)]

@@ -116,8 +116,8 @@ def grid_max_margin(algo_norm: NormSpec, data, resolution: float = 1e-3) -> Orac
     X = np.asarray(data.X, dtype=np.float64)
     y = np.asarray(data.y, dtype=np.float64)
     d = X.shape[1]
-    if d > 3:
-        raise ConfigError(f"grid oracle supports d <= 3, got d = {d}")
+    if not 1 <= d <= 3:
+        raise ConfigError(f"grid oracle needs 1 <= d <= 3, got d = {d}")
     candidates = _candidates(_vector_norm_kind(algo_norm), d, resolution)
 
     signed = X * y[:, None]            # margin of theta is min(signed @ theta)

@@ -12,7 +12,7 @@ import pytest
 
 import steepdesc
 from steepdesc.cli import _build_parser, cli_main
-from steepdesc.data import Dataset, export_csv, load_dataset
+from steepdesc.data import Dataset, export_csv, load_dataset, save_dataset
 from steepdesc.diagnostics import kkt_residuals, margin_report
 from steepdesc.harness import load_config, parse_norm
 from steepdesc.losses import LossSpec, evaluate
@@ -290,6 +290,29 @@ class TestTrainCommand:
         assert err.startswith("error: ") and "nosuch" in err
         assert not (out / "run.csv").exists()
 
+    @pytest.mark.parametrize("case", ["no test set", "never separates"])
+    def test_svg_with_nothing_to_draw_exits_1_after_the_run(self, tmp_path,
+                                                            capsys, case):
+        """test_acc without a test set, or kkt_eps on a run that never
+        separates, has no point to draw: an error naming the column, with
+        the run's outputs written."""
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        if case == "no test set":
+            text = LINEAR_CONFIG.format(data="unused") + TEACHER + "test_m = 0\n"
+            column = "test_acc"
+        else:
+            data = tmp_path / "twice.stpd"      # one point under both labels
+            save_dataset(Dataset(np.ones((2, 2)), np.array([1.0, -1.0])), data)
+            text, column = LINEAR_CONFIG.format(data=data), "kkt_eps"
+        cfg.write_text(text + f"output_dir = {out}\n")
+        assert cli_main(["train", "--config", str(cfg),
+                         "--svg-metrics", column]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: emit_svg: no drawable points in column(s) {column}\n"
+        assert (out / "run.csv").exists() and (out / "final.ckpt").exists()
+        assert not (out / "run.svg").exists()
+
 
 class TestGenerateDataCommand:
     def test_writes_dataset(self, tmp_path, capsys):
@@ -337,6 +360,13 @@ class TestOracleCommand:
         export_csv(Dataset(np.eye(2, d), np.array([1.0, -1.0])), path)
         assert cli_main(["oracle", "--norm", norm, "--data", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_no_features_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "empty.stpd"
+        save_dataset(Dataset(np.empty((2, 0)), np.array([1.0, -1.0])), path)
+        assert cli_main(["oracle", "--norm", "l2", "--data", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: grid oracle needs 1 <= d <= 3, got d = 0\n")
 
     @pytest.mark.parametrize("resolution", ["0", "-1", "nan", "inf", "-inf"])
     def test_resolution_not_finite_and_positive_exits_1(self, tmp_path, capsys,

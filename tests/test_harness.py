@@ -1,5 +1,6 @@
 import re
 import struct
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -173,6 +174,9 @@ class TestCheckInvariants:
             ["step 10: soft margin fell 1.0 -> 0.5"] if warned else [])
 
 
+CHUNKED_M = 2 * ACCURACY_CHUNK + 37     # test points: two full default blocks and a part
+
+
 class TestEvaluateAccuracy:
     def test_all_correct(self):
         model = ModelSpec.linear(2)
@@ -196,14 +200,75 @@ class TestEvaluateAccuracy:
         data = Dataset(np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([1.0, 1.0]))
         assert evaluate_accuracy(model, theta, data) == 0.5
 
-    def test_chunked_equals_one_product(self):
+    @pytest.mark.parametrize("rows", [1, 7, CHUNKED_M - 1, CHUNKED_M,
+                                      CHUNKED_M + 1, None],
+                             ids=["1 row", "7 rows", "m-1 rows", "m rows",
+                                  "m+1 rows", "no buffer"])
+    def test_chunked_equals_one_product(self, rows):
+        """Any caller buffer, or the default blocks of ACCURACY_CHUNK rows,
+        scores as one product over all m rows."""
         rng = np.random.default_rng(8)
-        m = 2 * ACCURACY_CHUNK + 37
+        m = CHUNKED_M
         model = ModelSpec.two_layer_relu(4, 3)
         theta = ParamVector.of(rng.standard_normal((3, 4)), rng.standard_normal(3))
         data = Dataset(rng.standard_normal((m, 4)), np.sign(rng.standard_normal(m)))
         whole = float((output_margins(model, theta, data) > 0.0).mean())
-        assert evaluate_accuracy(model, theta, data) == whole
+        hidden = None if rows is None else np.empty((rows, 3))
+        assert evaluate_accuracy(model, theta, data, hidden) == whole
+
+
+class TestTestAccuracyBuffer:
+    """The logged row scores the test set through the run's (m, width)
+    step buffer, which ``evaluate`` leaves holding nothing it reads later."""
+
+    @staticmethod
+    def teacher_sets(m, test_m, d=8):
+        rng = np.random.default_rng(21)
+        w = rng.standard_normal(d)
+        X, X_test = rng.standard_normal((m, d)), rng.standard_normal((test_m, d))
+        return (Dataset(X, np.where(X @ w > 0, 1.0, -1.0)),
+                Dataset(X_test, np.where(X_test @ w > 0, 1.0, -1.0)))
+
+    def test_no_evaluation_is_a_view_of_the_run_buffer(self, monkeypatch):
+        import steepdesc.harness as harness
+        seen = []
+        evaluate = harness.evaluate
+
+        def spy(loss, model, theta, data, hidden):
+            ev = evaluate(loss, model, theta, data, hidden)
+            seen.append((ev, hidden))
+            return ev
+
+        monkeypatch.setattr(harness, "evaluate", spy)
+        train, test = self.teacher_sets(16, 100)
+        config = toy_config(model=ModelSpec.two_layer_relu(8, 32), epochs=200,
+                            log_every=50)
+        log = run_training(config, train=train, test=test)
+        assert len(seen) == 201 and len({id(h) for _, h in seen}) == 1
+        for ev, hidden in seen:
+            g_hat = ev.subgradient[0]
+            for array in (ev.q, ev.logw, g_hat.buffer):
+                assert not np.shares_memory(array, hidden)
+        assert log.rows[-1].test_acc == evaluate_accuracy(
+            config.model, log.final_theta, test)
+
+    def test_a_test_set_allocates_no_block_of_its_own(self):
+        """k' = 512: one ACCURACY_CHUNK block would be 4 MiB."""
+        bound = 1 << 20
+        train, test = self.teacher_sets(64, 4096)
+        config = toy_config(model=ModelSpec.two_layer_relu(8, 512), epochs=4,
+                            log_every=2)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for test_set in (None, test):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                run_training(config, train=train, test=test_set)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] - peaks[0] < bound, peaks
 
 
 class TestEmitCsv:

@@ -100,6 +100,17 @@ class TestForward:
             assert f.tobytes() == forward_batch(model, theta, X).tobytes()
 
 
+    @pytest.mark.parametrize("buffer", [
+        np.empty((4, 8), dtype=np.float32), np.empty((0, 8)), np.empty((4, 7)),
+        np.empty(8)], ids=["float32", "no rows", "wrong width", "one axis"])
+    def test_a_malformed_buffer_is_a_shape_mismatch(self, buffer):
+        """Not rounded to float32, nor a range() or matmul error."""
+        rng = np.random.default_rng(4)
+        model, theta, _ = random_model_point(rng)
+        with pytest.raises(ShapeMismatchError, match="hidden buffer"):
+            forward_batch(model, theta, rng.standard_normal((5, 4)), buffer)
+
+
 def ref_forward_batch(theta, X, hidden):
     """The two-layer forward pass as a loop over chunks of the buffer's
     rows, also when one chunk covers X."""

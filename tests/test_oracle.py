@@ -90,6 +90,13 @@ class TestGridMaxMargin:
         with pytest.raises(ValueError):
             grid_max_margin(NormSpec.l2(), data)
 
+    @pytest.mark.parametrize("norm", [NormSpec.l1(), NormSpec.l2(), NormSpec.linf()],
+                             ids=["l1", "l2", "linf"])
+    def test_no_features_is_a_config_error(self, norm):
+        data = Points(np.empty((2, 0)), [1.0, -1.0])
+        with pytest.raises(ConfigError, match=r"needs 1 <= d <= 3, got d = 0"):
+            grid_max_margin(norm, data)
+
     def test_spectral_alias_matches_l2(self):
         a = grid_max_margin(NormSpec.l2(), SYMMETRIC_PAIR, resolution=1e-2)
         b = grid_max_margin(NormSpec.spectral(), SYMMETRIC_PAIR, resolution=1e-2)
