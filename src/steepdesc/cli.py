@@ -168,12 +168,29 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+def _grid_values(flag: str, text: str, key: str, fmt: str) -> list:
+    """A sweep flag's comma list, each entry read by ``key``'s rule. A run's
+    output directory shows its value under ``fmt``, so an empty list, or two
+    entries equal as numbers or under ``fmt``, is a ``ConfigError``."""
+    values, seen = [], {}
+    for entry in filter(str.strip, text.split(",")):
+        value = _KEYS[key][0](key, entry)
+        for mark in (value, format(value, fmt)):
+            if mark in seen:
+                raise ConfigError(f"{flag}: {seen[mark].strip()} and {entry.strip()} "
+                                  "would share one run's output directory")
+            seen[mark] = entry
+        values.append(value)
+    if not values:
+        raise ConfigError(f"{flag}: no values in {text!r}")
+    return values
+
+
 def _cmd_sweep(args) -> int:
     base = read_flat_config(args.config)
-    seeds = [_KEYS["seed"][0]("seed", s) for s in args.seeds.split(",") if s.strip()]
-    scales = ([_KEYS["init_scale"][0]("init_scale", s)
-               for s in args.scales.split(",") if s.strip()]
-              if args.scales else [config_from_values(base).init.scale])
+    seeds = _grid_values("--seeds", args.seeds, "seed", "d")
+    scales = (_grid_values("--scales", args.scales, "init_scale", "g")
+              if args.scales is not None else [config_from_values(base).init.scale])
     out_root = Path(args.output_dir)
     # every run's config is built, so checked, before the first run starts
     configs = [config_from_values({
@@ -223,6 +240,9 @@ def cli_main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (SteepdescError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:      # e.g. numpy refused an array
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -21,23 +21,31 @@ the masked Python ones do. From ``LANE_MIN`` on it runs
 ``ceil(n / LANE_STEPS)`` copies of the generator side by side on numpy
 arrays, lane k starting at stream offset k * LANE_STEPS. A lane step updates
 four preallocated state rows in place through one scratch row, so it
-allocates nothing. The state update is linear over GF(2), so each lane's
-start is the previous one times the 256x256 bit matrix T^LANE_STEPS: the XOR
-of the matrix rows that its set bits select. Row j is the unit state e_j
-advanced LANE_STEPS steps, all 256 advanced together by the same lane update.
-The table depends on nothing but LANE_STEPS, so it is built once per process,
-on the first lane draw, and is read-only. Only integer bit operations are
-involved; no floating point, no BLAS.
+allocates nothing. The state update is linear over GF(2): lane k starts at
+T^(k LANE_STEPS) s for the 256x256 bit matrix T. The starts are filled by
+doubling, lanes h..2h-1 from lanes 0..h-1 through T^(h LANE_STEPS), one
+vectorized jump per doubling. A jump's table holds, for each of a state's
+64 nibbles and each of its 16 values, the image of that nibble alone
+(32 KiB), and a state's image is the XOR of the 64 entries its nibbles
+select. Level 0 advances the 256 unit states LANE_STEPS steps; level i + 1
+squares level i. A level depends on nothing but LANE_STEPS, so it is built
+once per process, the first time a draw needs it, and is read-only. Only
+integer bit operations are involved; no floating point, no BLAS.
 
-Box-Muller keeps ``math.log``, ``math.cos`` and ``math.sin``, mapped element
-by element. numpy's own ``log``, ``cos`` and ``sin`` may use SIMD kernels
-that are not correctly rounded and differ from ``math`` in the last bit:
-``np.log`` differs from ``math.log`` on 6,959 of 2M uniform inputs on an
-AVX2 Xeon, which would change the datasets. ``sqrt``, ``1 - u`` and
+Box-Muller keeps ``math.log``, ``math.cos`` and ``math.sin``: ``math.log`` is
+mapped over Python floats, and each pair's cosine and sine come from one
+``cmath.exp(1j * angle)``, which CPython computes as exp(0.0) * cos(angle)
+and exp(0.0) * sin(angle) with the same libm calls, exp(0.0) being exactly
+1. They run on at most ``PAIR_BLOCK`` pairs at a time, so no Python list
+of a whole draw exists. numpy's own ``log``, ``cos`` and ``sin`` may use
+SIMD kernels that are not correctly rounded and differ from ``math`` in the
+last bit: ``np.log`` differs from ``math.log`` on 6,959 of 2M uniform inputs
+on an AVX2 Xeon, which would change the datasets. ``sqrt``, ``1 - u`` and
 products are correctly rounded IEEE operations, so numpy computes them.
 """
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 
@@ -45,10 +53,12 @@ import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
-LANE_STEPS = 512            # outputs per lane in a block draw
-LANE_MIN = 1 << 14          # smallest block draw that runs in lanes
+LANE_STEPS = 128            # outputs per lane in a block draw
+LANE_MIN = 6_000            # smallest block draw that runs in lanes
+PAIR_BLOCK = 2048           # Box-Muller pairs mapped through Python floats at once
 
-_BIT_SHIFTS = np.arange(64, dtype=np.uint64)
+_NIBBLE_SHIFTS = np.arange(0, 64, 4, dtype=np.uint64)[:, None]
+_NIBBLE_ROWS = np.arange(0, 1024, 16)[:, None]      # where nibble p's 16 entries start
 # shift counts of the numpy update and scrambler, as uint64 scalars
 _SH17, _SH19, _SH23, _SH41, _SH45 = (np.uint64(k) for k in (17, 19, 23, 41, 45))
 
@@ -96,23 +106,39 @@ def _scramble(s0, s3, out, tmp) -> None:
 
 
 @functools.cache
-def _jump_table() -> np.ndarray:
-    """T^LANE_STEPS over GF(2), read-only: row j is e_j advanced that far."""
-    j = np.arange(256)
-    s = np.zeros((4, 256), dtype=np.uint64)
-    s[j // 64, j] = np.uint64(1) << (j % 64).astype(np.uint64)
-    tmp = np.empty(256, dtype=np.uint64)
-    for _ in range(LANE_STEPS):
-        _advance(*s, tmp)
-    table = s.T.copy()
+def _jump_level(level: int) -> np.ndarray:
+    """T^(LANE_STEPS * 2^level) over GF(2), read-only: entry [w, p, v] is
+    word w of the state whose nibble p is v, all other bits 0, advanced
+    that far. Level 0 advances the 256 unit states; a level above squares
+    the one below."""
+    if level == 0:
+        j = np.arange(256)
+        units = np.zeros((4, 256), dtype=np.uint64)
+        units[j // 64, j] = np.uint64(1) << (j % 64).astype(np.uint64)
+        tmp = np.empty(256, dtype=np.uint64)
+        for _ in range(LANE_STEPS):
+            _advance(*units, tmp)
+    else:
+        below = _jump_level(level - 1)
+        units = _jump(below, below[:, :, [1, 2, 4, 8]].reshape(4, 256))
+    units = units.reshape(4, 64, 4)         # [word, nibble, bit in the nibble]
+    table = np.zeros((4, 64, 16), dtype=np.uint64)
+    for b in range(4):
+        table[:, :, 1 << b:2 << b] = table[:, :, :1 << b] ^ units[:, :, b, None]
     table.flags.writeable = False
     return table
 
 
-def _apply_jump(jump: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """``state`` advanced LANE_STEPS: the XOR of the rows of its set bits."""
-    bits = ((state[:, None] >> _BIT_SHIFTS) & np.uint64(1)).astype(bool)
-    return np.bitwise_xor.reduce(jump[bits.reshape(256)], axis=0)
+def _jump(table: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The (4, h) ``states`` advanced by ``table``'s jump, one column each:
+    the XOR of the 64 entries that a state's nibbles select. It gathers one
+    word at a time: a (4, 64, 256) block when a level is squared would be
+    the largest array a desk set-up frees, which raises glibc's mmap
+    threshold and the run's peak RSS with it."""
+    nibbles = (states[:, None, :] >> _NIBBLE_SHIFTS) & np.uint64(15)
+    index = nibbles.reshape(64, -1).astype(np.intp) + _NIBBLE_ROWS
+    return np.array([np.bitwise_xor.reduce(word.take(index), axis=0)
+                     for word in table.reshape(4, 1024)])
 
 
 class Xoshiro256pp:
@@ -148,9 +174,10 @@ class Xoshiro256pp:
         lanes = -(-n // LANE_STEPS)
         s = np.empty((4, lanes), dtype=np.uint64)
         s[:, 0] = self._s
-        jump = _jump_table()
-        for k in range(1, lanes):
-            s[:, k] = _apply_jump(jump, s[:, k - 1])
+        h, level = 1, 0
+        while h < lanes:        # lanes h..2h-1 start T^(LANE_STEPS h) after 0..h-1
+            s[:, h:2 * h] = _jump(_jump_level(level), s[:, :min(h, lanes - h)])
+            h, level = 2 * h, level + 1
         s0, s1, s2, s3 = s
         tmp = np.empty(lanes, dtype=np.uint64)
         out = np.empty((LANE_STEPS, lanes), dtype=np.uint64)
@@ -202,12 +229,15 @@ class Xoshiro256pp:
     def gaussians(self, n: int) -> np.ndarray:
         """Box-Muller pairs: u1 is mapped into (0, 1] so log(u1) is finite."""
         u = self.uniforms(2 * ((n + 1) // 2)).reshape(-1, 2)
-        u1 = 1.0 - u[:, 0]
-        r = np.sqrt(-2.0 * _elementwise(math.log, u1))
-        angle = (2.0 * math.pi) * u[:, 1]
         out = np.empty_like(u)
-        out[:, 0] = r * _elementwise(math.cos, angle)
-        out[:, 1] = r * _elementwise(math.sin, angle)
+        for i in range(0, len(u), PAIR_BLOCK):
+            u1, u2 = u[i:i + PAIR_BLOCK].T
+            logs = np.fromiter(map(math.log, (1.0 - u1).tolist()), np.float64, len(u1))
+            # exp(1j * angle) is (cos(angle), sin(angle)) from one call
+            turns = np.fromiter(map(cmath.exp, ((2.0 * math.pi) * u2 * 1j).tolist()),
+                                np.complex128, len(u2))
+            np.multiply(np.sqrt(-2.0 * logs)[:, None],
+                        turns.view(np.float64).reshape(-1, 2), out=out[i:i + PAIR_BLOCK])
         return out.reshape(-1)[:n]
 
     def choice_without_replacement(self, n: int, k: int) -> list[int]:
@@ -221,10 +251,6 @@ class Xoshiro256pp:
             pool[i], pool[j] = pool[j], pool[i]
             picked.append(pool[i])
         return picked
-
-
-def _elementwise(fn, x: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(fn, x), dtype=np.float64, count=len(x))
 
 
 def derive_seeds(master_seed: int, n: int) -> list[int]:

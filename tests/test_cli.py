@@ -273,6 +273,16 @@ class TestTrainCommand:
         assert err.startswith("error: ") and "step_sise" in err
         assert not (out / "run.csv").exists()
 
+    def test_refused_allocation_exits_1(self, tmp_path, toy_dataset, capsys):
+        """The 3 * 2^50 initial parameters: the smallest array drawn for them
+        takes 2^48 bytes or more, past the 2^47-byte user address space, so
+        the allocation is refused before any page is touched."""
+        cfg, out = write_config(tmp_path, toy_dataset)
+        cfg.write_text(cfg.read_text() + f"width = {2**50}\n")
+        assert cli_main(["train", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: out of memory: ")
+        assert not out.exists()
+
     def test_svg_emission(self, tmp_path, toy_dataset):
         cfg, out = write_config(tmp_path, toy_dataset)
         code = cli_main(["train", "--config", str(cfg),
@@ -333,6 +343,16 @@ class TestGenerateDataCommand:
         out = tmp_path / "teacher.stpd"
         assert cli_main(["generate-data", *argv, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_refused_allocation_exits_1(self, tmp_path, capsys):
+        """X alone would take 2^53 bytes, past the 2^47-byte user address
+        space, so the allocation is refused before any page is touched."""
+        out = tmp_path / "teacher.stpd"
+        assert cli_main(["generate-data", "--input-dim", "4", "--teacher-k", "2",
+                         "--active", "2", "--m", str(2**48),
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: out of memory: ")
         assert not out.exists()
 
 
@@ -636,6 +656,26 @@ diagnostics_norms = l2
         assert cli_main(["sweep", "--config", str(cfg), "--seeds", "1e0",
                          "--output-dir", str(out)]) == 0
         assert (out / "seed1_scale0.01" / "run.csv").exists()
+
+    @pytest.mark.parametrize("grid, flag", [
+        (["--seeds", ","], "--seeds"), (["--seeds", " "], "--seeds"),
+        (["--seeds", "1", "--scales", ","], "--scales"),
+        (["--seeds", "1", "--scales", ""], "--scales"),
+        (["--seeds", "1,1"], "--seeds"), (["--seeds", "2,1,1e0"], "--seeds"),
+        (["--seeds", "1", "--scales", "0.05,5e-2"], "--scales"),
+        (["--seeds", "1", "--scales", "0.05,0.0500000001"], "--scales"),
+    ], ids=["no seeds", "blank seeds", "no scales", "empty scales", "equal seeds",
+            "seeds equal as numbers", "scales equal as numbers",
+            "scales that print the same"])
+    def test_empty_or_colliding_grid_exits_1_before_any_run(self, tmp_path,
+                                                           toy_dataset, capsys,
+                                                           grid, flag):
+        cfg, _ = write_config(tmp_path, toy_dataset)
+        out = tmp_path / "sweep"
+        assert cli_main(["sweep", "--config", str(cfg), *grid,
+                         "--output-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+        assert not out.exists()
 
     def test_unknown_subcommand_exits_nonzero(self):
         assert cli_main(["frobnicate"]) != 0

@@ -1,7 +1,9 @@
+import cmath
 import hashlib
 import math
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +18,8 @@ from steepdesc.data import (SAMPLE_CHUNK, Dataset, TeacherSpec, export_csv,
 from steepdesc.errors import DataFormatError
 from steepdesc.models import ModelSpec, forward_batch
 from steepdesc.params import ParamVector
-from steepdesc.rng import (LANE_MIN, LANE_STEPS, Xoshiro256pp, derive_seeds,
-                           splitmix64_stream)
+from steepdesc.rng import (LANE_MIN, LANE_STEPS, PAIR_BLOCK, Xoshiro256pp,
+                           derive_seeds, splitmix64_stream)
 
 SEEDS = st.integers(0, 2**64 - 1)
 # block sizes on both sides of the lane threshold and of a lane's length
@@ -114,8 +116,8 @@ class TestRng:
         assert short._s == [18218103773559020085, 9148771424312265909,
                             10084941338447595992, 8538963646368820092]
         long = Xoshiro256pp(7)
-        drawn = long.next_u64s(LANE_MIN + 3 * LANE_STEPS + 5)
-        assert drawn[[0, LANE_STEPS, -1]].tolist() == [
+        drawn = long.next_u64s(17_925)       # lanes with a partial last lane
+        assert drawn[[0, 512, -1]].tolist() == [
             1021219803524665661, 4956270748466946925, 11995908155343939768]
         assert hashlib.sha256(drawn.astype("<u8").tobytes()).hexdigest() == (
             "fa9261e02ad6e4a553efa686f34bbb1fc3fd42b2172eb4279f50241715f36953")
@@ -123,7 +125,7 @@ class TestRng:
                            17463395394946385031, 6464208454437234384]
         assert long.next_u64() == 15313603206870937153
 
-    @pytest.mark.parametrize("n", [*range(41), LANE_MIN - 1, LANE_MIN,
+    @pytest.mark.parametrize("n", [*range(41), LANE_MIN - 1, LANE_MIN, LANE_MIN + 1,
                                    LANE_MIN + LANE_STEPS - 1])
     def test_block_draw_equals_scalar_calls_at_the_edges(self, n):
         block, scalar = Xoshiro256pp(n), Xoshiro256pp(n)
@@ -131,18 +133,71 @@ class TestRng:
         assert drawn.dtype == np.uint64 and drawn.shape == (n,)
         assert drawn.tolist() == [scalar.next_u64() for _ in range(n)]
         assert block._s == scalar._s
+        # a second draw, in lanes, starts where the first ended
+        again = block.next_u64s(LANE_MIN + 1)
+        assert again.tolist() == [scalar.next_u64() for _ in range(len(again))]
         assert block.next_u64() == scalar.next_u64()
 
-    def test_generators_share_one_read_only_jump_table(self):
+    @pytest.mark.parametrize("lanes", [1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 255, 256, 257])
+    @pytest.mark.parametrize("missing", [0, 1, LANE_STEPS - 1])
+    def test_lane_draws_of_every_doubling_shape(self, monkeypatch, lanes, missing):
+        """1, 2, 3, 2^j and 2^j +/- 1 lanes, the last one full or partial
+        (``missing`` outputs short), each followed by a second lane draw."""
+        monkeypatch.setattr(rng_mod, "LANE_MIN", 1)
+        n = lanes * LANE_STEPS - missing
+        block, scalar = Xoshiro256pp(lanes), Xoshiro256pp(lanes)
+        for size in (n, n + 1):
+            assert block.next_u64s(size).tolist() == [scalar.next_u64()
+                                                      for _ in range(size)]
+            assert block._s == scalar._s
+
+    def test_generators_share_read_only_jump_tables(self):
         a, b = Xoshiro256pp(1), Xoshiro256pp(2)
         a.next_u64s(LANE_MIN)
-        table = rng_mod._jump_table()
-        before = table.copy()
+        levels = (-(-LANE_MIN // LANE_STEPS) - 1).bit_length()
+        tables = [rng_mod._jump_level(i) for i in range(levels)]
+        before = [table.copy() for table in tables]
+        built = rng_mod._jump_level.cache_info().misses
         b.next_u64s(LANE_MIN + LANE_STEPS)
-        assert rng_mod._jump_table() is table
-        assert not table.flags.writeable
-        np.testing.assert_array_equal(table, before)
+        assert rng_mod._jump_level.cache_info().misses == built
+        for i, (table, copy) in enumerate(zip(tables, before)):
+            assert rng_mod._jump_level(i) is table
+            assert table.shape == (4, 64, 16) and not table.flags.writeable
+            np.testing.assert_array_equal(table, copy)
         assert not hasattr(a, "_jump") and not hasattr(b, "_jump")
+
+    def test_jump_tables_of_a_chunk_draw_stay_small(self):
+        """A 65,536-output draw runs 512 lanes, so it builds levels 0-8 of
+        32 KiB each; the bound allows ten."""
+        rng_mod._jump_level.cache_clear()
+        tracemalloc.start()
+        try:
+            Xoshiro256pp(1).next_u64s(65_536)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rng_mod._jump_level.cache_info().currsize == 9
+        assert held <= 10 * 32 * 1024
+
+    def test_desk_sized_draws_build_no_jump_table(self):
+        """The 64-row desk training set (1,024 outputs) and its 1,088 initial
+        parameters are drawn below LANE_MIN."""
+        rng_mod._jump_level.cache_clear()
+        Xoshiro256pp(1).next_u64s(1024)
+        Xoshiro256pp(2).next_u64s(1088)
+        assert rng_mod._jump_level.cache_info().currsize == 0
+
+    def test_one_complex_exp_gives_the_math_cosine_and_sine(self):
+        """Box-Muller's cos and sin of an angle, as the complex exponential
+        of ``angle * 1j`` gives them, bit for bit, from angle 0 up."""
+        tiny = 2.0 * math.pi * 2.0**-53
+        angles = np.concatenate([[0.0, tiny, 2.0 * math.pi - tiny, math.pi],
+                                 (2.0 * math.pi) * Xoshiro256pp(3).uniforms(200_000)])
+        turns = np.array([cmath.exp(z) for z in (angles * 1j).tolist()])
+        assert turns.real.tobytes() == np.array(
+            [math.cos(a) for a in angles.tolist()]).tobytes()
+        assert turns.imag.tobytes() == np.array(
+            [math.sin(a) for a in angles.tolist()]).tobytes()
 
     @settings(max_examples=30, deadline=None)
     @given(seed=SEEDS, sizes=st.lists(BLOCK_SIZES, min_size=1, max_size=2))
@@ -162,6 +217,15 @@ class TestRng:
     def test_gaussians_equal_the_pairwise_reference(self, seed, n):
         block, scalar = Xoshiro256pp(seed), Xoshiro256pp(seed)
         assert block.gaussians(n).tolist() == reference_gaussians(scalar, n)
+        assert block._s == scalar._s
+
+    @pytest.mark.parametrize("n", [2 * PAIR_BLOCK - 1, 2 * PAIR_BLOCK,
+                                   2 * PAIR_BLOCK + 1, 2 * PAIR_BLOCK + 2,
+                                   10 * PAIR_BLOCK + 3])
+    def test_gaussians_across_pair_blocks_equal_the_reference(self, n):
+        block, scalar = Xoshiro256pp(n), Xoshiro256pp(n)
+        assert block.gaussians(n).tobytes() == np.array(
+            reference_gaussians(scalar, n)).tobytes()
         assert block._s == scalar._s
 
 
