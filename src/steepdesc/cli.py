@@ -108,8 +108,7 @@ def _cmd_train(args) -> int:
     log = run_training(config)
     out = Path(config.output_dir)
     if metrics:
-        axes = {"y": "log"} if args.svg_log_y else {}
-        emit_svg(log, metrics, axes, out / "run.svg")
+        emit_svg(log, metrics, args.svg_log_y, out / "run.svg")
     for w in log.warnings:
         print(f"warning: {w}", file=sys.stderr)
     t0 = log.t0_step if log.t0_step is not None else "never"

@@ -170,6 +170,9 @@ def load_idx(images_path, labels_path, digit_a: int, digit_b: int,
     ``digit_b`` to -1; the first ``m_train`` matches in file order are
     kept.
     """
+    if digit_a == digit_b:
+        raise ConfigError(f"digit_a and digit_b are both {digit_a}: "
+                          f"idx data needs two classes")
     img = Path(images_path).read_bytes()
     lab = Path(labels_path).read_bytes()
 

@@ -23,8 +23,7 @@ import numpy as np
 from .errors import NotSeparatedError, ZeroVectorError
 from .losses import Evaluation, LossSpec, phi_inverse, separation_threshold
 from .models import weighted_subgradient_sum
-from .norms import (NormSpec, _dual, _l2, _subgradient, dual_norm_value,
-                    norm_value)
+from .norms import NormSpec, _l2, _subgradient, dual_norm_value, norm_value
 
 # the parameter norms every logged row reports, besides the algorithm's own
 _REPORTED_NORMS = {spec.label(): spec for spec in (
@@ -169,7 +168,7 @@ def kkt_residuals(ev: Evaluation, rep: MarginReport,
     diff = s - k
     eps = _l2(diff)
     delta = float(scale * lambdas.dot(ev.q / q_min - 1.0))
-    ds, dk = _dual(algo_norm, theta_f, s), _dual(algo_norm, theta_f, k)
+    ds, dk = (dual_norm_value(algo_norm, theta_f, v) for v in (s, k))
     gap = 0.5 * ds * ds - 0.5 * dk * dk - theta_f.dot_flat(diff)
 
     bregman_bound = delta_bound = None

@@ -31,7 +31,8 @@ import numpy as np
 from .data import (Dataset, TeacherSpec, gen_teacher, load_dataset, load_idx,
                    sample_dataset)
 from .diagnostics import MarginReport, kkt_residuals, margin_report
-from .errors import ConfigError, DivergenceError, InvariantViolation
+from .errors import (ConfigError, DivergenceError, InvariantViolation,
+                     ShapeMismatchError)
 from .losses import (EXPONENTIAL, LOGISTIC, Evaluation, LossSpec, evaluate,
                      output_margins)
 from .models import (COORDINATE_UNIFORM, FAN_IN_UNIFORM, LINEAR, TWO_LAYER_RELU,
@@ -70,6 +71,12 @@ class DataSource:
             raise ConfigError(f"unknown data kind {self.kind!r}")
         if self.test_m < 0:
             raise ConfigError("test_m must be >= 0")
+        if self.test_m > 0 and self.kind != "teacher":
+            raise ConfigError(f"test_m > 0 needs teacher data: {self.kind} "
+                              f"data has no test set")
+        if self.digit_a == self.digit_b:
+            raise ConfigError(f"digit_a and digit_b are both {self.digit_a}: "
+                              f"idx data needs two classes")
         if self.kind == "teacher" and (self.teacher is None or self.train_m < 1):
             raise ConfigError("teacher data needs a TeacherSpec and train_m >= 1")
         if self.kind == "dataset" and not self.dataset_path:
@@ -220,6 +227,10 @@ def run_training(config: RunConfig, train: Optional[Dataset] = None,
     if train is None:
         train, test = resolve_data(config)
     model, loss = config.model, config.loss
+    for name, data in (("train", train), ("test", test)):
+        if data is not None and data.d != model.input_dim:
+            raise ShapeMismatchError(f"{name} inputs must have shape "
+                                     f"(m, {model.input_dim}), got {data.X.shape}")
     init = config.init
     if init.seed == 0 and config.seed != 0:
         init = replace(init, seed=derive_seeds(config.seed, 3)[2])
@@ -353,19 +364,16 @@ _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
 _SVG_WIDTH, _SVG_HEIGHT = 800, 500
 
 
-def emit_svg(log: RunLog, metrics, axes: Optional[dict] = None, path=None) -> str:
+def emit_svg(log: RunLog, metrics, log_y: bool = False, path=None) -> str:
     """Self-contained SVG line chart of logged metrics against step.
 
-    ``axes`` maps "x"/"y" to "linear" or "log"; points that cannot be
-    placed on a log axis (nonpositive values) are skipped with a warning,
-    and a ``ConfigError`` names the columns when no point is left.
+    With ``log_y`` the y axis is log10: nonpositive values cannot be placed
+    on it and are skipped with a warning. A ``ConfigError`` names the
+    columns when no point is left, and an empty log is one too.
     Returns the SVG text; writes it when ``path`` is given.
     """
-    axes = axes or {}
-    x_log = axes.get("x", "linear") == "log"
-    y_log = axes.get("y", "linear") == "log"
     if not log.rows:
-        raise ValueError("emit_svg: empty run log")
+        raise ConfigError("emit_svg: empty run log")
 
     margin, width, height = 60, _SVG_WIDTH, _SVG_HEIGHT
     series = {}
@@ -373,15 +381,14 @@ def emit_svg(log: RunLog, metrics, axes: Optional[dict] = None, path=None) -> st
         pts = []
         skipped = 0
         for row in log.rows:
-            xv, yv = float(row.step), getattr(row, name)
+            yv = getattr(row, name)
             if yv is None or not np.isfinite(yv):
                 continue
             yv = float(yv)
-            if (x_log and xv <= 0.0) or (y_log and yv <= 0.0):
+            if log_y and yv <= 0.0:
                 skipped += 1
                 continue
-            pts.append((math.log10(xv) if x_log else xv,
-                        math.log10(yv) if y_log else yv))
+            pts.append((float(row.step), math.log10(yv) if log_y else yv))
         if skipped:
             warnings.warn(f"emit_svg: skipped {skipped} nonpositive points of "
                           f"{name!r} on a log axis")
@@ -402,8 +409,8 @@ def emit_svg(log: RunLog, metrics, axes: Optional[dict] = None, path=None) -> st
         py = height - margin - (p[1] - y_lo) / y_span * (height - 2 * margin)
         return px, py
 
-    def label(v, is_log):
-        return f"{10.0**v:.3g}" if is_log else f"{v:.6g}"
+    def y_label(v):
+        return f"{10.0**v:.3g}" if log_y else f"{v:.6g}"
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
@@ -414,13 +421,13 @@ def emit_svg(log: RunLog, metrics, axes: Optional[dict] = None, path=None) -> st
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
         f'y2="{height - margin}" stroke="black"/>',
         f'<text x="{margin}" y="{height - margin + 20}" font-size="12">'
-        f'{label(x_lo, x_log)}</text>',
+        f'{x_lo:.6g}</text>',
         f'<text x="{width - margin - 30}" y="{height - margin + 20}" '
-        f'font-size="12">{label(x_hi, x_log)}</text>',
+        f'font-size="12">{x_hi:.6g}</text>',
         f'<text x="{margin - 50}" y="{height - margin}" font-size="12">'
-        f'{label(y_lo, y_log)}</text>',
+        f'{y_label(y_lo)}</text>',
         f'<text x="{margin - 50}" y="{margin + 10}" font-size="12">'
-        f'{label(y_hi, y_log)}</text>',
+        f'{y_label(y_hi)}</text>',
     ]
     for i, (name, pts) in enumerate(series.items()):
         color = _SVG_COLORS[i % len(_SVG_COLORS)]

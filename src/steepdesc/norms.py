@@ -18,11 +18,11 @@ directions and subgradients come back in the trainable blocks' layout. Each
 norm is a max over segments (``_segments``): the whole trainable prefix for
 l1, l2 and l-infinity, one block each for spectral and modular norms. So
 ||v|| is the segments' largest norm, ||g||* the sum of their dual norms,
-the unit direction joins the segments' directions, and the subgradient is
-the largest segment's, zero on the others.
-
-Tie-breaking is deterministic everywhere: argmax ties resolve to the lowest
-index, sign(0) = 0.
+the unit direction joins minus the dual norm's face (``_face``) at each
+segment, and the subgradient is the face of the largest segment, zero on
+the others. ``_face`` holds every fixed selection: argmax ties resolve to
+the lowest index, sign(0) = 0, and a spectral block takes its leading
+singular pair.
 """
 from __future__ import annotations
 
@@ -175,42 +175,40 @@ def norm_value(spec: NormSpec, v: ParamVector) -> float:
     return max([_block_norm(k, x) for k, x in _segments(spec, v)])
 
 
-def dual_norm_value(spec: NormSpec, g: ParamVector) -> float:
-    """||g||* of g's trainable blocks: l1 and l-infinity are mutually
-    dual, l2 is self-dual, the dual of max-over-blocks is the sum of
-    per-block duals, and the dual of the spectral norm is the nuclear norm."""
-    return _dual(spec, g)
+def dual_norm_value(spec: NormSpec, g: ParamVector,
+                    flat: np.ndarray | None = None) -> float:
+    """||g||* of g's trainable blocks, or of ``flat`` in their layout: l1
+    and l-infinity are mutually dual, l2 is self-dual, the dual of
+    max-over-blocks is the sum of per-block duals, and the dual of the
+    spectral norm is the nuclear norm."""
+    return float(sum([_block_norm(_DUAL[k], x) for k, x in _segments(spec, g, flat)]))
 
 
-def _dual(spec: NormSpec, v: ParamVector, flat: np.ndarray | None = None) -> float:
-    """||.||* of v's trainable prefix, or of ``flat`` in its layout."""
-    return float(sum([_block_norm(_DUAL[k], x) for k, x in _segments(spec, v, flat)]))
-
-
-def _unit_direction(kind: str, x: np.ndarray) -> tuple[np.ndarray, float | None]:
-    """Unit-norm steepest direction of one segment as a flat array, <d, x> =
-    -||x||*, zero where ||x||* is; and ||x||* if its pass forms it, else None."""
-    if kind == L2:
-        x = x.ravel()
-        dual = _l2(x)
-        return (x / -dual if dual else np.zeros(x.size)), dual
-    if kind == SPECTRAL:
+def _face(kind: str, x: np.ndarray) -> tuple[np.ndarray, float | None]:
+    """The fixed element n of the subdifferential of ||.||_kind at one
+    segment x, as a new flat array, zero where x is: sign(x) for l1, x/||x||
+    for l2, sign(x_j) e_j at the lowest j with the largest |x_j| for
+    l-infinity, the leading singular pair u1 v1^T for spectral and U V^T for
+    nuclear. Also ||x|| in ``kind`` where the pass forms it, else None."""
+    if kind in (SPECTRAL, _NUCLEAR):
         if not x.any():
             return np.zeros(x.size), None
         u, _, v = thin_svd(_as_matrix(x))
-        return -(u @ v.T).ravel(), None
+        n = np.outer(u[:, 0], v[:, 0]) if kind == SPECTRAL else u @ v.T
+        return n.ravel(), None
     x = x.ravel()
+    if kind == L2:
+        value = _l2(x)
+        return (x / value if value else np.zeros(x.size)), value
     if kind == L1:
-        d = np.zeros(x.size)
-        if not x.size:
-            return d, 0.0
-        a = np.abs(x)
-        j = int(a.argmax())
-        if x[j]:
-            d[j] = -np.sign(x[j])
-        return d, float(a[j])     # the largest |x_i|, as a.max() gives it
-    # linf: full sign vector, sign(0) = 0
-    return (-np.sign(x) if x.any() else np.zeros(x.size)), None
+        return np.sign(x), None
+    n = np.zeros(x.size)
+    if not x.size:
+        return n, 0.0
+    a = np.abs(x)
+    j = int(a.argmax())
+    n[j] = np.sign(x[j])
+    return n, float(a[j])     # the largest |x_i|, as a.max() gives it
 
 
 def _steepest(spec: NormSpec, g: ParamVector, with_dual: bool
@@ -221,13 +219,13 @@ def _steepest(spec: NormSpec, g: ParamVector, with_dual: bool
         raise NonFiniteError("steepest direction: gradient has non-finite entries")
     parts, duals = [], []
     for kind, x in _segments(spec, g):
-        unit, dual = _unit_direction(kind, x)
-        parts.append(unit)
+        face, dual = _face(_DUAL[kind], x)
+        parts.append(face)
         if with_dual:
             duals.append(_block_norm(_DUAL[kind], x) if dual is None else dual)
-    # one segment's direction is already a new flat array: joining would copy it
+    # one segment's face is already a new flat array: joining would copy it
     unit = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return unit, (float(sum(duals)) if with_dual else None)
+    return np.negative(unit, out=unit), (float(sum(duals)) if with_dual else None)
 
 
 def unit_steepest_direction(spec: NormSpec, g: ParamVector) -> ParamVector:
@@ -282,15 +280,5 @@ def _subgradient(spec: NormSpec, theta: ParamVector) -> tuple[float, np.ndarray]
         raise ZeroVectorError("norm_subgradient is undefined at theta = 0")
     n = np.zeros(theta.trainable_flat().size)
     start = sum(other.size for _, other in segments[:j])
-    sub = n[start:start + x.size]
-    if kind == SPECTRAL:
-        u, _, v = thin_svd(_as_matrix(x))
-        sub[:] = np.outer(u[:, 0], v[:, 0]).ravel()
-    elif kind == L2:
-        np.divide(x.ravel(), value, out=sub)
-    elif kind == L1:
-        np.sign(x.ravel(), out=sub)
-    else:
-        i = int(np.argmax(np.abs(x.ravel())))
-        sub[i] = np.sign(x.ravel()[i])
+    n[start:start + x.size] = _face(kind, x)[0]
     return value, n

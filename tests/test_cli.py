@@ -146,6 +146,30 @@ class TestTrainCommand:
         assert "diverged" not in err
         assert not (out / "run.csv").exists()
 
+    def test_data_dimension_mismatch_exits_1_before_init(self, tmp_path, capsys):
+        """A d = 4 file under input_dim = 2 is a mismatch, not the out of
+        memory that a 2^50-row first layer would be if it were drawn."""
+        data = tmp_path / "d4.stpd"
+        save_dataset(Dataset(np.eye(4), np.array([1.0, -1.0, 1.0, -1.0])), data)
+        cfg, out = write_config(tmp_path, data)
+        cfg.write_text(cfg.read_text().replace("width = 8", f"width = {2**50}"))
+        assert cli_main(["train", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == ("error: train inputs must have shape "
+                                           "(m, 2), got (4, 4)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("test_m = 5", "test_m > 0 needs teacher data: dataset data has no test set"),
+        ("digit_b = 3", "digit_a and digit_b are both 3: idx data needs two classes"),
+    ], ids=["test_m on dataset data", "one-class digits"])
+    def test_data_source_without_a_test_set_or_a_second_class_exits_1(
+            self, tmp_path, toy_dataset, capsys, line, message):
+        cfg, out = write_config(tmp_path, toy_dataset)
+        cfg.write_text(cfg.read_text() + line + "\n")
+        assert cli_main(["train", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("line, key", [
         ("beta1 = inf", "Adam betas"),
         ("beta2 = 1.5", "Adam betas"),

@@ -15,7 +15,7 @@ from steepdesc import rng as rng_mod
 from steepdesc.data import (SAMPLE_CHUNK, Dataset, TeacherSpec, export_csv,
                             gen_teacher, load_dataset, load_idx,
                             load_points_csv, sample_dataset, save_dataset)
-from steepdesc.errors import DataFormatError
+from steepdesc.errors import ConfigError, DataFormatError
 from steepdesc.models import ModelSpec, forward_batch
 from steepdesc.params import ParamVector
 from steepdesc.rng import (LANE_MIN, LANE_STEPS, PAIR_BLOCK, Xoshiro256pp,
@@ -366,6 +366,12 @@ class TestLoadIdx:
         img, lab, _ = build_idx_fixture(tmp_path, labels=(3, 3, 3, 3))
         with pytest.raises(DataFormatError, match="absent"):
             load_idx(img, lab, 3, 6, 2)
+
+    def test_equal_digits_rejected(self, tmp_path):
+        """One digit under both labels would label every example +1."""
+        img, lab, _ = build_idx_fixture(tmp_path)
+        with pytest.raises(ConfigError, match="both 3: idx data needs two classes"):
+            load_idx(img, lab, 3, 3, 2)
 
     def test_truncated_images(self, tmp_path):
         img, lab, _ = build_idx_fixture(tmp_path)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from steepdesc.cli import cli_main
 from steepdesc.data import Dataset, save_dataset
-from steepdesc.errors import ConfigError, DivergenceError
+from steepdesc.errors import ConfigError, DivergenceError, ShapeMismatchError
 from steepdesc.harness import (_KEYS, _TABLE, ACCURACY_CHUNK, CONFIG_KEYS,
                                CSV_COLUMNS, DataSource, LogRow, RunConfig,
                                RunLog, _flag, _integer, _real, _text,
@@ -299,7 +299,7 @@ class TestEmitSvg:
         log = run_training(toy_config(epochs=1000, log_every=100),
                            train=four_point_set())
         path = tmp_path / "run.svg"
-        emit_svg(log, ["gamma_2", "soft_margin"], {}, path)
+        emit_svg(log, ["gamma_2", "soft_margin"], path=path)
         root = ET.fromstring(path.read_text())
         polylines = [e for e in root.iter() if e.tag.endswith("polyline")]
         assert len(polylines) == 2
@@ -308,13 +308,13 @@ class TestEmitSvg:
         log = run_training(toy_config(epochs=1000, log_every=100),
                            train=four_point_set())
         with pytest.warns(UserWarning, match="nonpositive"):
-            text = emit_svg(log, ["log_loss"], {"y": "log"})
+            text = emit_svg(log, ["log_loss"], log_y=True)
         ET.fromstring(text)
 
     def test_empty_log_rejected(self):
         from steepdesc.harness import RunLog
-        with pytest.raises(ValueError):
-            emit_svg(RunLog(), ["gamma_2"], {})
+        with pytest.raises(ConfigError, match="empty run log"):
+            emit_svg(RunLog(), ["gamma_2"])
 
 
 class TestConfigParsing:
@@ -555,6 +555,38 @@ output_dir = {tmp_path / "out"}
         assert train.y.tolist() == [1.0, -1.0, 1.0, -1.0]
         assert cli_main(["train", "--config", str(cfg)]) == 0
         assert (tmp_path / "out" / "run.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["teacher", "dataset", "idx"])
+    def test_one_class_digits_rejected_on_every_kind(self, kind):
+        from steepdesc.data import TeacherSpec
+        with pytest.raises(ConfigError, match="both 5: idx data needs two classes"):
+            DataSource(kind=kind, teacher=TeacherSpec(2, 3, 2),
+                       train_m=4, dataset_path="d.stpd", idx_images="i.idx",
+                       idx_labels="l.idx", digit_a=5, digit_b=5)
+
+    @pytest.mark.parametrize("kind", ["dataset", "idx"])
+    def test_test_set_needs_teacher_data(self, kind):
+        """Only a teacher draws a test set: test_m > 0 on a dataset file or
+        IDX files would leave test_acc empty."""
+        with pytest.raises(ConfigError, match=f"test_m > 0 needs teacher data: "
+                                              f"{kind} data has no test set"):
+            DataSource(kind=kind, train_m=4, test_m=3, dataset_path="d.stpd",
+                       idx_images="i.idx", idx_labels="l.idx")
+
+    @pytest.mark.parametrize("which", ["train", "test"])
+    def test_data_dimension_checked_before_init(self, which, monkeypatch):
+        import steepdesc.harness as harness
+
+        def no_init(*args):
+            raise AssertionError("init_params ran before the dimension check")
+
+        monkeypatch.setattr(harness, "init_params", no_init)
+        wide = Dataset(np.ones((2, 3)), np.array([1.0, -1.0]))
+        sets = ({"train": wide} if which == "train"
+                else {"train": four_point_set(), "test": wide})
+        with pytest.raises(ShapeMismatchError, match=fr"{which} inputs must have "
+                                                     fr"shape \(m, 2\), got \(2, 3\)"):
+            run_training(toy_config(), **sets)
 
     def test_stpd_source(self, tmp_path):
         from steepdesc.harness import resolve_data
