@@ -2,8 +2,7 @@
 instrumented with margin, alignment, and approximate-KKT diagnostics."""
 
 from .data import Dataset, TeacherSpec, gen_teacher, load_idx, sample_dataset
-from .diagnostics import (KKTReport, MarginReport, detect_separation,
-                          kkt_residuals, margin_report)
+from .diagnostics import KKTReport, MarginReport, kkt_residuals, margin_report
 from .harness import (DataSource, RunConfig, RunLog, emit_csv, emit_svg,
                       evaluate_accuracy, load_config, run_training)
 from .losses import (Evaluation, LossSpec, evaluate, log_loss, loss_subgradient,
@@ -13,8 +12,8 @@ from .models import (InitSpec, ModelSpec, forward, forward_batch, init_params,
 from .norms import (NormSpec, dual_norm_value, norm_subgradient, norm_value,
                     steepest_direction, thin_svd)
 from .optimizers import (AdamMethod, OptimizerSpec, OptimizerState,
-                         ShampooMethod, SteepestMethod, apply_switch,
-                         step_adam, step_shampoo, step_steepest, take_step)
+                         ShampooMethod, SteepestMethod, step_adam, step_shampoo,
+                         step_steepest, take_step)
 from .oracle import OracleResult, grid_max_margin
 from .params import ParamVector, from_flat
 

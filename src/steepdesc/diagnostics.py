@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NotSeparatedError, ZeroVectorError
-from .losses import Evaluation, LossSpec, phi_inverse, separation_threshold
+from .losses import Evaluation, phi_inverse, separation_threshold
 from .models import weighted_subgradient_sum
 from .norms import NormSpec, _l2, _subgradient, dual_norm_value, norm_value
 
@@ -74,16 +74,6 @@ class KKTReport:
     bregman_bound: Optional[float]
     delta_bound: Optional[float]
 
-    @property
-    def lambdas(self) -> np.ndarray:
-        """Multipliers exponentiated out of log-domain (may underflow to 0)."""
-        return np.exp(self.log_lambda)
-
-
-def detect_separation(log_loss_value: float, loss: LossSpec) -> bool:
-    """True once the loss has dropped strictly below the zero-margin level."""
-    return log_loss_value < separation_threshold(loss)
-
 
 def margin_report(ev: Evaluation, algo_norm: NormSpec) -> MarginReport:
     """All margin diagnostics at the evaluated point; requires theta != 0.
@@ -121,7 +111,7 @@ def margin_report(ev: Evaluation, algo_norm: NormSpec) -> MarginReport:
         param_norms=norms,
         log_loss=ev.log_loss,
         alignment=align,
-        separated=detect_separation(ev.log_loss, ev.loss),
+        separated=ev.log_loss < separation_threshold(ev.loss),
         algo_norm=algo_norm,
         grad_dual=dual,
     )

@@ -1,8 +1,9 @@
 """Run configuration, the full-batch training loop, logging, and emission.
 
-One run is one sequential loop: full-batch subgradient, optimizer step
-(honoring an at-separation switch rule), and every ``log_every`` steps a
-margin report plus, after the separation step t0, a KKT report. Rows land
+One run is one sequential loop: full-batch subgradient, optimizer step,
+and every ``log_every`` steps a margin report plus, after the separation
+step t0, a KKT report. At t0 the run switches to the optimizer's
+``switch_to`` spec, if it names one, with fresh accumulators. Rows land
 in a RunLog whose CSV serialization is byte-stable for a fixed config and
 seed.
 
@@ -39,9 +40,9 @@ from .models import (COORDINATE_UNIFORM, FAN_IN_UNIFORM, LINEAR, TWO_LAYER_RELU,
                      InitSpec, ModelSpec, init_params, save_checkpoint)
 from .norms import NormSpec
 from .optimizers import (AdamMethod, OptimizerSpec, OptimizerState,
-                         ShampooMethod, SteepestMethod, apply_switch, take_step)
+                         ShampooMethod, SteepestMethod, take_step)
 from .params import ParamVector
-from .rng import derive_seeds
+from .rng import splitmix64_stream
 
 FREEZE_LOG_LOSS = -700.0
 ACCURACY_CHUNK = 1024     # evaluate_accuracy's block when given no buffer
@@ -84,6 +85,12 @@ class DataSource:
         if self.kind == "idx" and not (self.idx_images and self.idx_labels
                                        and self.train_m >= 1):
             raise ConfigError("idx data needs image/label paths and train_m")
+        if self.kind == "dataset" and self.train_m:
+            raise ConfigError(f"train_m = {self.train_m} on dataset data: the "
+                              "whole file is the train set")
+        if self.kind != "teacher" and self.data_seed is not None:
+            raise ConfigError(f"data_seed on {self.kind} data: only a teacher "
+                              "draws its data")
 
 
 @dataclass(frozen=True)
@@ -150,7 +157,7 @@ class RunLog:
 def resolve_data(config: RunConfig) -> tuple[Dataset, Optional[Dataset]]:
     """Materialize the train (and optional test) datasets for a run."""
     src = config.data
-    sub = derive_seeds(config.seed, 3)
+    sub = splitmix64_stream(config.seed, 3)
     if src.kind == "teacher":
         teacher = gen_teacher(src.teacher)
         tmeta = {"teacher_seed": str(src.teacher.seed)}
@@ -233,7 +240,7 @@ def run_training(config: RunConfig, train: Optional[Dataset] = None,
                                      f"(m, {model.input_dim}), got {data.X.shape}")
     init = config.init
     if init.seed == 0 and config.seed != 0:
-        init = replace(init, seed=derive_seeds(config.seed, 3)[2])
+        init = replace(init, seed=splitmix64_stream(config.seed, 3)[2])
     theta = init_params(model, init)
 
     opt_spec = config.optimizer
@@ -262,7 +269,8 @@ def run_training(config: RunConfig, train: Optional[Dataset] = None,
                 log.t0_step = step
                 # freeze gamma_tilde(t0) before the row's bounds are formed
                 log.gamma_tilde_t0 = rep.soft_margin
-                opt_spec, state = apply_switch(opt_spec, state)
+                if opt_spec.switch_to is not None:
+                    opt_spec, state = opt_spec.switch_to, OptimizerState.fresh()
             log.rows.append(_build_row(step, ev, rep, test,
                                        log.t0_step is not None,
                                        log.gamma_tilde_t0, frozen, hidden))

@@ -93,13 +93,6 @@ def log_loss(loss: LossSpec, q: np.ndarray) -> float:
     return m + float(np.log(np.exp(t - m).sum()))
 
 
-def phi(loss: LossSpec, u):
-    """Phi evaluated elementwise."""
-    u = np.asarray(u, dtype=np.float64)
-    val = u if loss.kind == EXPONENTIAL else -_log_l_logistic(u)
-    return float(val) if val.ndim == 0 else val
-
-
 def log_weights(loss: LossSpec, q: np.ndarray) -> np.ndarray:
     """log of the per-example gradient weights, -Phi(q_i) + log Phi'(q_i).
 

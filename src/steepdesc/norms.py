@@ -161,7 +161,7 @@ def _segments(spec: NormSpec, v: ParamVector,
     norm."""
     if spec.kind in _FLAT_KINDS:
         return [(spec.kind, v.trainable_flat() if flat is None else flat)]
-    blocks = v.trainable_blocks() if flat is None else v.views(flat)
+    blocks = v.trainable_blocks() if flat is None else v.layout.views(flat)
     kinds = ([SPECTRAL] * len(blocks) if spec.kind == SPECTRAL
              else [b.kind for b in spec.block_norms])
     if len(kinds) != len(blocks):

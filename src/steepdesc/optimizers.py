@@ -1,8 +1,9 @@
 """Discrete-time update rules.
 
 The steepest-descent family (raw and normalized) under any supported norm,
-Adam, Shampoo, and an at-separation switching rule. All steps are pure:
-they return a new parameter vector (and, where stateful, a new state).
+Adam and Shampoo. An ``OptimizerSpec`` may name the spec a run switches to
+at separation; ``run_training`` makes the switch. All steps are pure: they
+return a new parameter vector (and, where stateful, a new state).
 Each reads its size eta from its ``OptimizerSpec``, where it is checked.
 Frozen blocks never move: each step forms the new point with one
 ``ParamVector.add_trainable`` of a flat displacement.
@@ -88,7 +89,7 @@ class OptimizerSpec:
 
 @dataclass
 class OptimizerState:
-    """Per-run accumulators; create fresh per run and after a switch."""
+    """Per-run accumulators, fresh per run and after a switch; ``t`` is Adam's."""
 
     t: int = 0
     adam_m: Optional[np.ndarray] = None   # moments of the trainable prefix
@@ -184,29 +185,17 @@ def step_shampoo(theta: ParamVector, g: ParamVector, state: OptimizerState,
         accumulators.append((left, right))
         upd = _inverse_fourth_root(left) @ gm @ _inverse_fourth_root(right)
         deltas.append(-spec.step_size * upd.ravel())
-    new_state = OptimizerState(t=state.t + 1, shampoo=tuple(accumulators))
+    new_state = OptimizerState(shampoo=tuple(accumulators))
     return theta.add_trainable(np.concatenate(deltas)), new_state
-
-
-def apply_switch(spec: OptimizerSpec, state: OptimizerState
-                 ) -> tuple[OptimizerSpec, OptimizerState]:
-    """Resolve the switch rule at separation.
-
-    At the first call, returns the switched-to spec with fresh
-    accumulators; afterwards the returned spec has no rule left, so further
-    calls are no-ops. Without a rule, (spec, state) pass through unchanged.
-    """
-    if spec.switch_to is not None:
-        return spec.switch_to, OptimizerState.fresh()
-    return spec, state
 
 
 def take_step(theta: ParamVector, g: ParamVector, state: OptimizerState,
               spec: OptimizerSpec, log_scale: float = 0.0
               ) -> tuple[ParamVector, OptimizerState]:
-    """Dispatch one update under ``spec`` at its configured step size."""
+    """Dispatch one update under ``spec`` at its configured step size; a
+    steepest step has no state and returns ``state`` as given."""
     if isinstance(spec.method, SteepestMethod):
-        return step_steepest(theta, g, spec, log_scale), OptimizerState(state.t + 1)
+        return step_steepest(theta, g, spec, log_scale), state
     scaled = g.scaled(_exp_saturating(log_scale)) if log_scale != 0.0 else g
     if isinstance(spec.method, AdamMethod):
         return step_adam(theta, scaled, state, spec)

@@ -6,10 +6,10 @@ are views of it, built on first read from the ``Layout``'s slices. Layouts
 are interned by (shapes, trainable flags) and checked once, when first
 built, so a run's vectors share one and the same-structure test is ``is``.
 Trainable blocks come first: the optimization variables are a leading slice
-and the frozen blocks the tail. ``like``, ``views`` and ``dot_flat`` take a
-flat array of the full or of the trainable prefix's size. Operations return
-a new vector; once returned, a vector is never written. ``__post_init__``
-runs once per vector built, however it is built.
+and the frozen blocks the tail. ``like``, ``Layout.views`` and ``dot_flat``
+take a flat array of the full or of the trainable prefix's size. Operations
+return a new vector; once returned, a vector is never written.
+``__post_init__`` runs once per vector built, however it is built.
 """
 from __future__ import annotations
 
@@ -98,8 +98,6 @@ class ParamVector:
 
     trainable = property(lambda self: self.layout.trainable)
     size = property(lambda self: self.layout.size)
-    n_blocks = property(lambda self: len(self.layout.shapes))
-    views = property(lambda self: self.layout.views)
 
     def shapes(self) -> tuple[tuple[int, ...], ...]:
         return self.layout.shapes
@@ -126,10 +124,6 @@ class ParamVector:
         layout = self.layout
         return self.buffer if layout.prefix is layout else self.buffer[:layout.prefix_size]
 
-    def trainable_view(self) -> "ParamVector":
-        prefix = self.layout.prefix
-        return self if prefix is self.layout else _vector(prefix, self.trainable_flat())
-
     def add_trainable(self, delta: np.ndarray) -> "ParamVector":
         """``delta`` added to the trainable prefix; the frozen tail is copied."""
         layout, buffer, n = self.layout, self.buffer, self.layout.prefix_size
@@ -138,12 +132,6 @@ class ParamVector:
         if layout.prefix is layout:
             return _vector(layout, buffer + delta)
         return _vector(layout, np.concatenate((buffer[:n] + delta, buffer[n:])))
-
-    def copy(self) -> "ParamVector":
-        return _vector(self.layout, self.buffer.copy())
-
-    def zeros_like(self) -> "ParamVector":
-        return _vector(self.layout, np.zeros(self.layout.size))
 
     def __add__(self, other: "ParamVector") -> "ParamVector":
         self.check_same_structure(other)
@@ -171,7 +159,7 @@ class ParamVector:
     def dot_flat(self, flat: np.ndarray) -> float:
         """<self, v> for v's full or trainable ``flat``, block by block."""
         return float(sum([a.ravel().dot(b.ravel())
-                          for a, b in zip(self.blocks, self.views(flat))]))
+                          for a, b in zip(self.blocks, self.layout.views(flat))]))
 
     def allfinite(self) -> bool:
         return bool(np.isfinite(self.buffer).all())

@@ -3,6 +3,7 @@
 Dataset generation and parameter initialization must be reproducible
 bit-for-bit across platforms and library versions, so the generator is
 pinned to a fixed algorithm instead of delegating to numpy's default.
+A run's sub-seeds are the first three outputs of ``splitmix64_stream``.
 
 Call-order contract (relied on by dataset fixtures):
   * ``uniform()`` consumes exactly one 64-bit output.
@@ -251,8 +252,3 @@ class Xoshiro256pp:
             pool[i], pool[j] = pool[j], pool[i]
             picked.append(pool[i])
         return picked
-
-
-def derive_seeds(master_seed: int, n: int) -> list[int]:
-    """Independent sub-seeds from one master seed (splitmix64 stream)."""
-    return splitmix64_stream(master_seed, n)

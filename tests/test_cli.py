@@ -170,6 +170,45 @@ class TestTrainCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_train_m_on_dataset_data_exits_1(self, tmp_path, toy_dataset, capsys):
+        """The whole file is the train set: train_m = 2 on the 4-point file
+        is an error, not a run on its 4 rows."""
+        cfg = tmp_path / "linear.cfg"
+        cfg.write_text(LINEAR_CONFIG.format(data=toy_dataset) + "train_m = 2\n")
+        out = tmp_path / "out"
+        assert cli_main(["train", "--config", str(cfg), "--output-dir", str(out)]) == 1
+        assert capsys.readouterr().err == ("error: train_m = 2 on dataset data: "
+                                           "the whole file is the train set\n")
+        assert not (out / "run.csv").exists()
+
+    def test_data_seed_on_dataset_data_exits_1(self, tmp_path, toy_dataset, capsys):
+        cfg = tmp_path / "linear.cfg"
+        cfg.write_text(LINEAR_CONFIG.format(data=toy_dataset) + "data_seed = 5\n")
+        out = tmp_path / "out"
+        assert cli_main(["train", "--config", str(cfg), "--output-dir", str(out)]) == 1
+        assert capsys.readouterr().err == ("error: data_seed on dataset data: "
+                                           "only a teacher draws its data\n")
+        assert not (out / "run.csv").exists()
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_strict_flag_fails_the_run_on_a_finding(self, tmp_path, toy_dataset,
+                                                    capsys, monkeypatch, strict):
+        """``--strict`` reaches the run: a finding of the invariant battery
+        is an error, where without the flag it is a warning."""
+        import steepdesc.harness as harness
+        monkeypatch.setattr(harness, "check_invariants",
+                            lambda config, log: ["step 0: fabricated"])
+        cfg, out = write_config(tmp_path, toy_dataset)
+        argv = ["train", "--config", str(cfg)] + (["--strict"] if strict else [])
+        assert cli_main(argv) == (1 if strict else 0)
+        err = capsys.readouterr().err
+        if strict:
+            assert err == "error: step 0: fabricated\n"
+            assert not (out / "run.csv").exists()
+        else:
+            assert err == "warning: step 0: fabricated\n"
+            assert (out / "run.csv").exists()
+
     @pytest.mark.parametrize("line, key", [
         ("beta1 = inf", "Adam betas"),
         ("beta2 = 1.5", "Adam betas"),
@@ -443,6 +482,13 @@ class TestOracleCommand:
         assert cli_main(["oracle", "--norm", "l2", "--data", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}{where}")
 
+    def test_non_finite_csv_cell_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "points.csv"
+        path.write_text("y,x1,x2\n1,1.0,0.5\n-1,nan,0.5\n")
+        assert cli_main(["oracle", "--norm", "l2", "--data", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: dataset features contain non-finite values\n")
+
 
 class TestDiagnoseCommand:
     def test_json_report(self, tmp_path, toy_dataset, capsys):
@@ -668,6 +714,30 @@ diagnostics_norms = l2
         assert capsys.readouterr().err == (
             "error: active_per_neuron must be in [1, input_dim]\n")
         assert not (out / "sweep.csv").exists()
+
+    def test_a_divergent_run_is_recorded_and_the_sweep_goes_on(self, tmp_path,
+                                                                capsys):
+        """At init scale 1e6 a margin of the mirrored pair lies below -709,
+        so the raw step's gradient scale overflows and the run diverges at
+        step 1: its row reads diverged = 1 with empty fields, and the other
+        run is written."""
+        data = tmp_path / "mirror.stpd"
+        save_dataset(Dataset(np.array([[1.0, 2.0], [-1.0, -2.0]]),
+                             np.array([1.0, 1.0])), data)
+        cfg = tmp_path / "linear.cfg"
+        cfg.write_text(LINEAR_CONFIG.format(data=data))
+        out = tmp_path / "sweep"
+        assert cli_main(["sweep", "--config", str(cfg), "--seeds", "1",
+                         "--scales", "1e6,0.05", "--output-dir", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("seed 1 scale 1e+06: run diverged at step 1")
+        header, kept, diverged = (out / "sweep.csv").read_text().splitlines()
+        assert header == "seed,init_scale,diverged,test_acc,gamma_1,gamma_2,gamma_inf"
+        assert diverged == "1,1000000.0,1,,,,"
+        assert kept.startswith("1,0.05,0,,")          # no test set: empty test_acc
+        assert all(v and math.isfinite(float(v)) for v in kept.split(",")[4:])
+        assert (out / "seed1_scale0.05" / "run.csv").exists()
+        assert not (out / "seed1_scale1e+06" / "run.csv").exists()
 
     def test_seeds_read_as_the_seed_key_reads_them(self, tmp_path, toy_dataset):
         """``--seeds 1e0`` is seed 1, as ``seed = 1e0`` in a file is."""

@@ -19,7 +19,7 @@ from steepdesc.errors import ConfigError, DataFormatError
 from steepdesc.models import ModelSpec, forward_batch
 from steepdesc.params import ParamVector
 from steepdesc.rng import (LANE_MIN, LANE_STEPS, PAIR_BLOCK, Xoshiro256pp,
-                           derive_seeds, splitmix64_stream)
+                           splitmix64_stream)
 
 SEEDS = st.integers(0, 2**64 - 1)
 # block sizes on both sides of the lane threshold and of a lane's length
@@ -97,8 +97,8 @@ class TestRng:
     def test_splitmix_stream_is_prefix_stable(self):
         assert splitmix64_stream(42, 3) == splitmix64_stream(42, 5)[:3]
 
-    def test_derive_seeds_distinct(self):
-        seeds = derive_seeds(0, 4)
+    def test_splitmix_stream_outputs_distinct(self):
+        seeds = splitmix64_stream(0, 4)
         assert len(set(seeds)) == 4
 
     def test_block_draws_known_answers(self):
@@ -529,6 +529,24 @@ class TestPersistence:
         back = load_points_csv(path)
         np.testing.assert_allclose(back.X, ds.X, rtol=1e-15)
         np.testing.assert_array_equal(back.y, ds.y)
+
+    def test_non_finite_cell_rejected(self, tmp_path):
+        path = tmp_path / "points.csv"
+        path.write_text("y,x1,x2\n1,1.0,0.5\n-1,nan,0.5\n")
+        with pytest.raises(DataFormatError, match="non-finite"):
+            load_points_csv(path)
+
+    @pytest.mark.parametrize("X, y, message", [
+        (np.ones((3, 2)), np.ones(2), r"dataset shapes X=\(3, 2\) y=\(2,\) are inconsistent"),
+        (np.ones(3), np.ones(3), r"dataset shapes X=\(3,\) y=\(3,\) are inconsistent"),
+        (np.ones((2, 2)), np.ones((2, 1)), "are inconsistent"),
+        (np.empty((0, 2)), np.empty(0), "dataset must contain at least one example"),
+        (np.array([[1.0, np.inf]]), np.ones(1), "dataset features contain non-finite"),
+    ], ids=["row counts differ", "X not a matrix", "y not a vector", "zero rows",
+            "infinite feature"])
+    def test_malformed_arrays_rejected(self, X, y, message):
+        with pytest.raises(DataFormatError, match=message):
+            Dataset(X, y)
 
     def test_label_validation(self):
         with pytest.raises(DataFormatError, match="labels"):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from steepdesc import diagnostics, norms
-from steepdesc.diagnostics import (detect_separation, kkt_residuals,
-                                   margin_report)
+from steepdesc.diagnostics import kkt_residuals, margin_report
 from steepdesc.errors import NotSeparatedError, ZeroVectorError
-from steepdesc.losses import LossSpec, evaluate, output_margins
+from steepdesc.losses import (LossSpec, evaluate, output_margins,
+                              separation_threshold)
 from steepdesc.models import ModelSpec, forward_batch, weighted_subgradient_sum
 from steepdesc.norms import (NormSpec, dual_norm_value, norm_subgradient,
                              norm_value)
@@ -157,7 +157,8 @@ def direct_bregman_gap(spec, model, theta, data, rep):
     q_min = float(ev.q.min())
     theta_f = theta.scaled_trainable(q_min ** (-1.0 / model.homogeneity_degree))
     s = weighted_subgradient_sum(model, theta_f, data.X,
-                                 data.y * rep.lambdas).trainable_view()
+                                 data.y * np.exp(rep.log_lambda))
+    s = s.like(s.trainable_flat())
     k = norm_subgradient(spec, theta_f).scaled(norm_value(spec, theta_f))
     diff = s - k
     return (0.5 * dual_norm_value(spec, s)**2 - 0.5 * dual_norm_value(spec, k)**2
@@ -212,12 +213,12 @@ class TestBregmanDivergence:
 
 class TestDetectSeparation:
     def test_exponential_strict(self):
-        assert detect_separation(-0.01, EXP)
-        assert not detect_separation(0.0, EXP)
+        assert -0.01 < separation_threshold(EXP)
+        assert not 0.0 < separation_threshold(EXP)
 
     def test_logistic_threshold(self):
-        assert detect_separation(-0.4, LOG)
-        assert not detect_separation(-0.3, LOG)
+        assert -0.4 < separation_threshold(LOG)
+        assert not -0.3 < separation_threshold(LOG)
 
 
 class TestKKTResiduals:
@@ -226,7 +227,7 @@ class TestKKTResiduals:
         rep = l2_kkt(model, theta, data)
         assert rep.eps == pytest.approx(0.0, abs=1e-14)
         assert rep.delta == pytest.approx(0.0, abs=1e-14)
-        assert rep.lambdas[0] == pytest.approx(1.0, rel=1e-12)
+        assert np.exp(rep.log_lambda[0]) == pytest.approx(1.0, rel=1e-12)
 
     def test_symmetric_pair_at_max_margin_direction(self):
         model, theta, data = linear_instance(

@@ -34,7 +34,7 @@ import steepdesc
 from steepdesc.data import TeacherSpec, gen_teacher, sample_dataset
 from steepdesc.harness import config_from_values, read_flat_config, run_training
 from steepdesc.models import InitSpec, ModelSpec, init_params
-from steepdesc.rng import derive_seeds
+from steepdesc.rng import splitmix64_stream
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -181,7 +181,7 @@ def data_digest(case: str) -> str:
         model = ModelSpec.two_layer_relu(32, 1024)
         # the init seed fullscale_gd.cfg (seed = 1, init_seed unset) resolves to
         init = InitSpec(scale=0.01, scheme="fan_in_uniform",
-                        seed=derive_seeds(1, 3)[2])
+                        seed=splitmix64_stream(1, 3)[2])
         return array_digest(*init_params(model, init).blocks)
     if case == "fullscale_teacher":
         spec, m, seed = TeacherSpec(32, 64, 3, seed=3), 4000, 17

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steepdesc.cli import cli_main
-from steepdesc.data import Dataset, save_dataset
-from steepdesc.errors import ConfigError, DivergenceError, ShapeMismatchError
+from steepdesc.data import Dataset, TeacherSpec, save_dataset
+from steepdesc.errors import (ConfigError, DivergenceError, InvariantViolation,
+                              ShapeMismatchError)
 from steepdesc.harness import (_KEYS, _TABLE, ACCURACY_CHUNK, CONFIG_KEYS,
                                CSV_COLUMNS, DataSource, LogRow, RunConfig,
                                RunLog, _flag, _integer, _real, _text,
@@ -101,6 +102,15 @@ class TestRunTraining:
             with pytest.raises(DivergenceError, match="step 1: non-finite parameters"):
                 run_training(config, train=mirror)
 
+    def test_finite_parameters_with_overflowing_margins_diverge(self):
+        # at init scale 1e300 every parameter is finite, but the output
+        # layer's product overflows, so step 0's margins are not
+        config = toy_config(epochs=5, log_every=1, init=InitSpec(scale=1e300, seed=3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match="^run diverged at step 0: "
+                                                      "non-finite margins$"):
+                run_training(config, train=four_point_set())
+
     def test_kkt_fields_appear_after_t0(self):
         log = run_training(toy_config(), train=four_point_set())
         pre = [r for r in log.rows if not r.t0_flag]
@@ -172,6 +182,48 @@ class TestCheckInvariants:
                      t0_step=0, train_m=4)
         assert check_invariants(config, log) == (
             ["step 10: soft margin fell 1.0 -> 0.5"] if warned else [])
+
+    @pytest.mark.parametrize("fields, finding", [
+        ({"alignment": 1.0 + 1e-9}, f"alignment {1.0 + 1e-9} > 1"),
+        ({"alignment": 1.0 + 5e-11}, None),
+        ({"bregman_gap": 0.5, "bregman_bound": 0.25},
+         "Bregman gap 0.5 exceeds bound 0.25"),
+        ({"bregman_gap": 0.25 + 5e-9, "bregman_bound": 0.25}, None),
+        ({"kkt_delta": -1e-9}, "negative complementarity -1e-09"),
+        ({"kkt_delta": -5e-13}, None),
+        ({"kkt_delta": 0.5, "delta_bound": 0.25}, "delta 0.5 exceeds bound 0.25"),
+        ({"kkt_delta": 0.25 + 5e-9, "delta_bound": 0.25}, None),
+    ], ids=["alignment over 1", "alignment within 1e-10", "Bregman gap over bound",
+            "Bregman gap within 1e-8", "negative delta", "delta within -1e-12",
+            "delta over bound", "delta within 1e-8"])
+    def test_each_row_check_names_its_step(self, fields, finding):
+        """The alignment cap, the Bregman and delta bounds and nonnegative
+        complementarity, each past its tolerance on the second of two rows
+        that otherwise meet every invariant, and each within it."""
+        rows = [_post_separation_row(0, 1.0, -1.0, 1.0),
+                _post_separation_row(10, 1.0, -2.0, 2.0)]
+        for name, value in fields.items():
+            setattr(rows[1], name, value)
+        log = RunLog(rows=rows, t0_step=0, train_m=4)
+        assert check_invariants(toy_config(model=ModelSpec.linear(2)), log) == (
+            [] if finding is None else [f"step 10: {finding}"])
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_strict_run_raises_on_a_finding_before_writing(self, strict, tmp_path,
+                                                           monkeypatch):
+        import steepdesc.harness as harness
+        monkeypatch.setattr(harness, "check_invariants",
+                            lambda config, log: ["step 0: a", "step 5: b"])
+        config = toy_config(epochs=20, log_every=5, strict=strict,
+                            output_dir=str(tmp_path / "out"))
+        if strict:
+            with pytest.raises(InvariantViolation, match="^step 0: a; step 5: b$"):
+                run_training(config, train=four_point_set())
+            assert not (tmp_path / "out").exists()
+        else:
+            log = run_training(config, train=four_point_set())
+            assert log.warnings == ["step 0: a", "step 5: b"]
+            assert (tmp_path / "out" / "run.csv").exists()
 
 
 CHUNKED_M = 2 * ACCURACY_CHUNK + 37     # test points: two full default blocks and a part
@@ -424,6 +476,7 @@ switch_norm = l1
         path.write_text(MINIMAL_CONFIG + "output_dir = 007\ndataset_path = 1e3\n")
         values = read_flat_config(path)
         assert values["output_dir"] == "007" and values["dataset_path"] == "1e3"
+        del values["train_m"]                  # a dataset file is the whole train set
         config = config_from_values({**values, "data_kind": "dataset"})
         assert config.output_dir == "007" and config.data.dataset_path == "1e3"
 
@@ -518,7 +571,6 @@ def test_any_config_text_gives_a_config_or_a_config_error(tmp_path_factory,
 class TestDataSourceResolution:
     def test_teacher_source(self):
         from steepdesc.harness import resolve_data
-        from steepdesc.data import TeacherSpec
         config = toy_config(data=DataSource(
             kind="teacher",
             teacher=TeacherSpec(input_dim=2, width=3, active_per_neuron=2, seed=4),
@@ -558,7 +610,6 @@ output_dir = {tmp_path / "out"}
 
     @pytest.mark.parametrize("kind", ["teacher", "dataset", "idx"])
     def test_one_class_digits_rejected_on_every_kind(self, kind):
-        from steepdesc.data import TeacherSpec
         with pytest.raises(ConfigError, match="both 5: idx data needs two classes"):
             DataSource(kind=kind, teacher=TeacherSpec(2, 3, 2),
                        train_m=4, dataset_path="d.stpd", idx_images="i.idx",
@@ -572,6 +623,39 @@ output_dir = {tmp_path / "out"}
                                               f"{kind} data has no test set"):
             DataSource(kind=kind, train_m=4, test_m=3, dataset_path="d.stpd",
                        idx_images="i.idx", idx_labels="l.idx")
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"kind": "csv"}, "unknown data kind 'csv'"),
+        ({"kind": "teacher", "train_m": 4},
+         "teacher data needs a TeacherSpec and train_m >= 1"),
+        ({"kind": "teacher", "teacher": TeacherSpec(2, 3, 2)},
+         "teacher data needs a TeacherSpec and train_m >= 1"),
+        ({"kind": "dataset"}, "dataset data needs dataset_path"),
+        ({"kind": "idx", "idx_labels": "l.idx", "train_m": 4},
+         "idx data needs image/label paths and train_m"),
+        ({"kind": "idx", "idx_images": "i.idx", "train_m": 4},
+         "idx data needs image/label paths and train_m"),
+        ({"kind": "idx", "idx_images": "i.idx", "idx_labels": "l.idx"},
+         "idx data needs image/label paths and train_m"),
+        ({"kind": "dataset", "dataset_path": "d.stpd", "train_m": 2},
+         "train_m = 2 on dataset data: the whole file is the train set"),
+        ({"kind": "dataset", "dataset_path": "d.stpd", "data_seed": 5},
+         "data_seed on dataset data: only a teacher draws its data"),
+        ({"kind": "idx", "idx_images": "i.idx", "idx_labels": "l.idx",
+          "train_m": 4, "data_seed": 0},
+         "data_seed on idx data: only a teacher draws its data"),
+    ], ids=["unknown kind", "teacher without a spec", "teacher without train_m",
+            "dataset without a path", "idx without images", "idx without labels",
+            "idx without train_m", "train_m on dataset data",
+            "data_seed on dataset data", "data_seed on idx data"])
+    def test_each_kind_needs_its_inputs(self, fields, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            DataSource(**fields)
+
+    @pytest.mark.parametrize("epochs", [0, -3])
+    def test_epochs_below_one_rejected(self, epochs):
+        with pytest.raises(ConfigError, match="^epochs must be >= 1$"):
+            toy_config(epochs=epochs, log_every=1)
 
     @pytest.mark.parametrize("which", ["train", "test"])
     def test_data_dimension_checked_before_init(self, which, monkeypatch):

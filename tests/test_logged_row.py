@@ -116,22 +116,27 @@ def ref_dot(a, b):
                      for x, y in zip(a.blocks, b.blocks)))
 
 
+def trainable(v):
+    """The trainable blocks of ``v`` as a vector of their own."""
+    return v.like(v.trainable_flat())
+
+
 def ref_scaled_trainable(theta, c):
     head = theta.trainable_flat()
     return theta.like(np.concatenate((c * head, theta.buffer[head.size:])))
 
 
 def ref_alignment(ev, algo):
-    theta_norm = ref_norm_value(algo, ev.theta.trainable_view())
-    g_hat = ev.subgradient[0].trainable_view()
+    theta_norm = ref_norm_value(algo, trainable(ev.theta))
+    g_hat = trainable(ev.subgradient[0])
     dual = ref_dual_norm_value(algo, g_hat)
     if dual == 0.0 or theta_norm == 0.0:
         return math.nan
-    return -ref_dot(ev.theta.trainable_view(), g_hat) / (theta_norm * dual)
+    return -ref_dot(trainable(ev.theta), g_hat) / (theta_norm * dual)
 
 
 def ref_margin_report(ev, algo):
-    theta_tr = ev.theta.trainable_view()
+    theta_tr = trainable(ev.theta)
     algo_theta_norm = ref_norm_value(algo, theta_tr)
     degree = ev.model.homogeneity_degree
     q_min = float(ev.q.min())
@@ -154,9 +159,9 @@ def ref_margin_report(ev, algo):
         param_norms=norms_,
         log_loss=ev.log_loss,
         alignment=ref_alignment(ev, algo),
-        separated=diagnostics.detect_separation(ev.log_loss, ev.loss),
+        separated=ev.log_loss < losses.separation_threshold(ev.loss),
         algo_norm=algo,
-        grad_dual=ref_dual_norm_value(algo, ev.subgradient[0].trainable_view()),
+        grad_dual=ref_dual_norm_value(algo, trainable(ev.subgradient[0])),
     )
 
 
@@ -169,21 +174,21 @@ def ref_bregman_divergence(algo, y, z, m_vec):
 def ref_kkt_residuals(ev, algo, gamma_tilde_t0=None):
     model, theta, data, q = ev.model, ev.theta, ev.data, ev.q
     degree = model.homogeneity_degree
-    theta_norm = ref_norm_value(algo, theta.trainable_view())
+    theta_norm = ref_norm_value(algo, trainable(theta))
     q_min = float(q.min())
     log_scale = ev.subgradient[1]
-    dual_hat = ref_dual_norm_value(algo, ev.subgradient[0].trainable_view())
+    dual_hat = ref_dual_norm_value(algo, trainable(ev.subgradient[0]))
     log_g_dual = log_scale + math.log(dual_hat)
     log_lambda = (math.log(theta_norm) - log_g_dual
                   + (1.0 - 2.0 / degree) * math.log(q_min) + ev.logw)
     theta_f = ref_scaled_trainable(theta, q_min ** (-1.0 / degree))
-    theta_f_tr = theta_f.trainable_view()
+    theta_f_tr = trainable(theta_f)
     theta_f_norm = ref_norm_value(algo, theta_f_tr)
     shift = float(np.max(log_lambda))
     y = np.asarray(data.y, dtype=np.float64)
     coeffs = y * np.exp(log_lambda - shift)
     s = weighted_subgradient_sum(model, theta_f, data.X, coeffs).scaled(math.exp(shift))
-    s_tr = s.trainable_view()
+    s_tr = trainable(s)
     k = ref_norm_subgradient(algo, theta_f_tr, theta_f_norm).scaled(theta_f_norm)
     eps = float(np.linalg.norm((s_tr - k).flat()))
     slack = q / q_min - 1.0

@@ -174,7 +174,7 @@ class TestSubgradient:
         X = rng.standard_normal((6, 4))
         coeffs = rng.standard_normal(6)
         total = weighted_subgradient_sum(model, theta, X, coeffs)
-        expected = theta.zeros_like()
+        expected = theta.like(np.zeros(theta.size))
         for c, x in zip(coeffs, X):
             expected = expected + network_subgradient(model, theta, x).scaled(c)
         assert total.allclose(expected, rtol=1e-10, atol=1e-12)

@@ -72,15 +72,15 @@ def test_operations_match_the_block_expressions(pair, c):
     assert same_bits(u.scaled_trainable(c), ref_scaled_trainable(a, flags, c))
     assert u.dot(v) == ref_dot(a, b)
     kept = [x for x, t in zip(a, flags) if t]
-    view = u.trainable_view()
+    view = u.like(u.trainable_flat())
     assert all(view.trainable)
     if kept:
         assert same_bits(view, kept)
-        update = v.trainable_view().flat()
+        update = v.trainable_flat()
         assert same_bits(u.add_trainable(update), ref_add_trainable(
             a, flags, [y for y, t in zip(b, flags) if t]))
     else:
-        assert view.n_blocks == 0 and view.size == 0
+        assert len(view.shapes()) == 0 and view.size == 0
     assert (u + v).trainable == flags and u.scaled(c).trainable == flags
 
 
@@ -90,12 +90,12 @@ def test_views_share_the_buffer(pair):
     u, _, _, _ = pair
     assert u.flat() is u.buffer
     assert all(np.shares_memory(b, u.buffer) for b in u.blocks)
-    view = u.trainable_view()
+    view = u.like(u.trainable_flat())
     if view.size:
         assert np.shares_memory(view.flat(), u.buffer)
         assert np.shares_memory(u.trainable_flat(), u.buffer)
     assert u.trainable_flat().tobytes() == view.flat().tobytes()
-    assert len(u.trainable_blocks()) == view.n_blocks
+    assert len(u.trainable_blocks()) == len(view.shapes())
     assert all(a is b or np.shares_memory(a, b)
                for a, b in zip(u.trainable_blocks(), view.blocks))
     x = u.flat().copy()
@@ -105,9 +105,9 @@ def test_views_share_the_buffer(pair):
         assert all(np.shares_memory(b, x) for b in w.blocks)
 
 
-def test_copy_and_zeros_like_own_new_buffers():
+def test_like_over_a_copy_or_zeros_owns_a_new_buffer():
     u = ParamVector.of(np.ones((2, 3)), np.ones(2), trainable=(True, False))
-    for w in (u.copy(), u.zeros_like()):
+    for w in (u.like(u.flat().copy()), u.like(np.zeros(u.size))):
         assert not np.shares_memory(w.flat(), u.flat())
         assert w.trainable == u.trainable and w.shapes() == u.shapes()
 
@@ -115,7 +115,7 @@ def test_copy_and_zeros_like_own_new_buffers():
 def test_frozen_tail_is_a_slice():
     u = ParamVector.of(np.arange(6.0).reshape(2, 3), np.array([7.0, 8.0]),
                        trainable=(True, False))
-    assert u.trainable_view().flat().tolist() == [0, 1, 2, 3, 4, 5]
+    assert u.trainable_flat().tolist() == [0, 1, 2, 3, 4, 5]
     assert u.add_trainable(np.ones(6)).flat().tolist() == [
         1, 2, 3, 4, 5, 6, 7, 8]
     with pytest.raises(ShapeMismatchError, match="expected"):
@@ -198,7 +198,7 @@ def test_layout_operations_match_a_concatenation_reference(drawn, c):
         assert w.layout is (layout if x.size == flat.size else layout.prefix)
         assert w.flat() is x
         assert [b.tobytes() for b in w.blocks] == [b.tobytes() for b in ref_split(x, kept)]
-        assert [b.tobytes() for b in v.views(x)] == [b.tobytes() for b in ref_split(x, kept)]
+        assert [b.tobytes() for b in layout.views(x)] == [b.tobytes() for b in ref_split(x, kept)]
         assert v.dot_flat(x) == ref_dot(blocks[:len(kept)], ref_split(x, kept))
     delta = other[:head.size].copy()
     assert v.add_trainable(delta).flat().tobytes() == ref_join(
@@ -218,7 +218,7 @@ def test_wrong_sizes_and_flags_raise(drawn, extra):
     wrong = np.zeros(flat.size + extra)
     with pytest.raises(ShapeMismatchError, match="shapes need"):
         from_flat(wrong, shapes, flags)
-    for call in (v.like, v.views, v.dot_flat):
+    for call in (v.like, v.layout.views, v.dot_flat):
         with pytest.raises(ShapeMismatchError, match="shapes need"):
             call(wrong)
     if len(shapes) > 1:
@@ -246,7 +246,6 @@ def test_every_constructor_runs_post_init_once(drawn):
         "add_trainable": lambda: v.add_trainable(delta),
         "scaled": lambda: v.scaled(2.0),
         "scaled_trainable": lambda: v.scaled_trainable(2.0),
-        "copy": v.copy, "zeros_like": v.zeros_like,
         "add": lambda: v + v, "sub": lambda: v - v,
     }
     original = ParamVector.__post_init__
