@@ -285,6 +285,8 @@ def load_points_csv(path) -> Dataset:
             rows.append([float(v) for v in cells])
         except ValueError as exc:
             raise DataFormatError(f"{path}:{ln}: {exc}") from exc
+        if not all(map(math.isfinite, rows[-1])):
+            raise DataFormatError(f"{path}:{ln}: non-finite value in {line!r}")
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     table = np.array(rows)

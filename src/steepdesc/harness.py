@@ -5,7 +5,7 @@ and every ``log_every`` steps a margin report plus, after the separation
 step t0, a KKT report. At t0 the run switches to the optimizer's
 ``switch_to`` spec, if it names one, with fresh accumulators. Rows land
 in a RunLog whose CSV serialization is byte-stable for a fixed config and
-seed.
+seed; ``check_invariants`` checks each row as the run makes it.
 
 Separation time t0 is the first *logged* step whose log-loss is below the
 loss threshold; its soft margin is frozen for the finite-time bounds.
@@ -150,7 +150,6 @@ class RunLog:
     gamma_tilde_t0: Optional[float] = None
     freeze_step: Optional[int] = None    # first step that no longer moves theta
     final_theta: Optional[ParamVector] = None
-    train_m: int = 0
     warnings: list = field(default_factory=list)
 
 
@@ -229,7 +228,8 @@ def run_training(config: RunConfig, train: Optional[Dataset] = None,
 
     Datasets may be passed in to reuse fixtures; otherwise they are
     materialized from the config's data source. Raises DivergenceError on
-    non-finite loss or parameters, and InvariantViolation in strict mode.
+    non-finite loss or parameters. Invariant findings go to ``log.warnings``
+    in step order, or in strict mode the first raises InvariantViolation.
     """
     if train is None:
         train, test = resolve_data(config)
@@ -244,8 +244,8 @@ def run_training(config: RunConfig, train: Optional[Dataset] = None,
     theta = init_params(model, init)
 
     opt_spec = config.optimizer
-    state = OptimizerState.fresh()
-    log = RunLog(train_m=train.m)
+    state = OptimizerState()
+    log, t0_row = RunLog(), None
     # reused by every evaluate, then by the logged row's test accuracy:
     # nothing an Evaluation holds is a view of it
     hidden = np.empty((train.m, model.width))
@@ -270,10 +270,17 @@ def run_training(config: RunConfig, train: Optional[Dataset] = None,
                 # freeze gamma_tilde(t0) before the row's bounds are formed
                 log.gamma_tilde_t0 = rep.soft_margin
                 if opt_spec.switch_to is not None:
-                    opt_spec, state = opt_spec.switch_to, OptimizerState.fresh()
-            log.rows.append(_build_row(step, ev, rep, test,
-                                       log.t0_step is not None,
-                                       log.gamma_tilde_t0, frozen, hidden))
+                    opt_spec, state = opt_spec.switch_to, OptimizerState()
+            row = _build_row(step, ev, rep, test, log.t0_step is not None,
+                             log.gamma_tilde_t0, frozen, hidden)
+            prev = log.rows[-1] if log.rows else None
+            found = check_invariants(config, row, prev, opt_spec.step_size, train.m)
+            if config.strict and found:
+                raise InvariantViolation("; ".join(found))
+            log.warnings += found
+            log.rows.append(row)
+            if step == log.t0_step:
+                t0_row = row
 
         if frozen or step == config.epochs:
             continue
@@ -285,8 +292,10 @@ def run_training(config: RunConfig, train: Optional[Dataset] = None,
                                  log_scale=log_scale)
 
     log.final_theta = theta
-    log.warnings = check_invariants(config, log)
-    if config.strict and log.warnings:
+    last = log.rows[-1]
+    if t0_row is not None and not (last.norm_algo > t0_row.norm_algo or last.frozen):
+        log.warnings.append("parameter norm did not grow after separation")
+    if config.strict and log.warnings:      # only that one: rows raised their own
         raise InvariantViolation("; ".join(log.warnings))
 
     if config.output_dir:
@@ -297,51 +306,43 @@ def run_training(config: RunConfig, train: Optional[Dataset] = None,
     return log
 
 
-def check_invariants(config: RunConfig, log: RunLog) -> list[str]:
-    """The logged-row invariant battery; returns human-readable violations.
+def check_invariants(config: RunConfig, row: LogRow, prev: Optional[LogRow],
+                     eta: float, m: int) -> list[str]:
+    """The invariant battery on one logged row and the row ``prev`` logged
+    before it (None for the first); returns human-readable violations.
 
-    Checks, on post-separation rows: the soft/hard margin sandwich
-    (exponential loss), soft-margin monotonicity up to 1e-6 + 10*eta per
-    interval (eta of the switched-to optimizer, which steps them all),
-    strictly decreasing log-loss while stepping, the finite-time
-    stationarity bounds, nonnegative complementarity, and the alignment
-    cap.
+    Checks the alignment cap and, on post-separation rows: soft-margin
+    monotonicity up to 1e-6 + 10*eta (``eta`` the step size that stepped
+    since ``prev``), strictly decreasing log-loss while stepping, the
+    soft/hard margin sandwich (exponential loss, ``m`` training points), the
+    finite-time stationarity bounds, and nonnegative complementarity.
     """
     out: list[str] = []
-    eta = (config.optimizer.switch_to or config.optimizer).step_size
-    slack = 1e-6 + 10.0 * eta
-    degree = config.model.homogeneity_degree
-    post = [r for r in log.rows if r.t0_flag]
-    for row in log.rows:
-        if np.isfinite(row.alignment) and row.alignment > 1.0 + 1e-10:
-            out.append(f"step {row.step}: alignment {row.alignment} > 1")
-    for prev, cur in zip(post, post[1:]):
-        if cur.soft_margin < prev.soft_margin - slack:
-            out.append(f"step {cur.step}: soft margin fell "
-                       f"{prev.soft_margin} -> {cur.soft_margin}")
-        if not (prev.frozen or cur.frozen) and not cur.log_loss < prev.log_loss:
-            out.append(f"step {cur.step}: log-loss did not decrease")
-    for row in post:
-        if config.loss.kind == EXPONENTIAL and row.q_min > 0:
-            lo = row.gamma_algo - math.log(log.train_m) / row.norm_algo**degree
-            if not (lo - 1e-10 <= row.soft_margin <= row.gamma_algo + 1e-10):
-                out.append(f"step {row.step}: sandwich violated "
-                           f"({lo} <= {row.soft_margin} <= {row.gamma_algo})")
-        if row.bregman_gap is not None and row.bregman_bound is not None:
-            if row.bregman_gap > row.bregman_bound + 1e-8:
-                out.append(f"step {row.step}: Bregman gap {row.bregman_gap} "
-                           f"exceeds bound {row.bregman_bound}")
-        if row.kkt_delta is not None:
-            if row.kkt_delta < -1e-12:
-                out.append(f"step {row.step}: negative complementarity "
-                           f"{row.kkt_delta}")
-            if row.delta_bound is not None and row.kkt_delta > row.delta_bound + 1e-8:
-                out.append(f"step {row.step}: delta {row.kkt_delta} exceeds "
-                           f"bound {row.delta_bound}")
-    if post:
-        first, last = post[0], log.rows[-1]
-        if not last.norm_algo > first.norm_algo and not last.frozen:
-            out.append("parameter norm did not grow after separation")
+    if np.isfinite(row.alignment) and row.alignment > 1.0 + 1e-10:
+        out.append(f"step {row.step}: alignment {row.alignment} > 1")
+    if prev is not None and prev.t0_flag:
+        if row.soft_margin < prev.soft_margin - (1e-6 + 10.0 * eta):
+            out.append(f"step {row.step}: soft margin fell "
+                       f"{prev.soft_margin} -> {row.soft_margin}")
+        if not (prev.frozen or row.frozen) and not row.log_loss < prev.log_loss:
+            out.append(f"step {row.step}: log-loss did not decrease")
+    if row.t0_flag and config.loss.kind == EXPONENTIAL and row.q_min > 0:
+        degree = config.model.homogeneity_degree
+        lo = row.gamma_algo - math.log(m) / row.norm_algo**degree
+        if not (lo - 1e-10 <= row.soft_margin <= row.gamma_algo + 1e-10):
+            out.append(f"step {row.step}: sandwich violated "
+                       f"({lo} <= {row.soft_margin} <= {row.gamma_algo})")
+    if row.bregman_gap is not None and row.bregman_bound is not None:
+        if row.bregman_gap > row.bregman_bound + 1e-8:
+            out.append(f"step {row.step}: Bregman gap {row.bregman_gap} "
+                       f"exceeds bound {row.bregman_bound}")
+    if row.kkt_delta is not None:
+        if row.kkt_delta < -1e-12:
+            out.append(f"step {row.step}: negative complementarity "
+                       f"{row.kkt_delta}")
+        if row.delta_bound is not None and row.kkt_delta > row.delta_bound + 1e-8:
+            out.append(f"step {row.step}: delta {row.kkt_delta} exceeds "
+                       f"bound {row.delta_bound}")
     return out
 
 

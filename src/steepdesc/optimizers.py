@@ -96,10 +96,6 @@ class OptimizerState:
     adam_v: Optional[np.ndarray] = None
     shampoo: tuple = ()    # (left, right) accumulators per trainable block
 
-    @classmethod
-    def fresh(cls) -> "OptimizerState":
-        return cls()
-
 
 def step_steepest(theta: ParamVector, g: ParamVector, spec: OptimizerSpec,
                   log_scale: float = 0.0) -> ParamVector:

@@ -157,7 +157,7 @@ def test_criterion_03_adam_equals_sign_descent():
                        step_size=eta)
     for step in range(100):
         g, _ = loss_subgradient(loss, model, theta, data)
-        via_adam, _ = step_adam(theta, g, OptimizerState.fresh(), adam)
+        via_adam, _ = step_adam(theta, g, OptimizerState(), adam)
         via_sd = step_steepest(theta, g, sd)
         dir_adam = (via_adam - theta).flat()
         dir_sd = (via_sd - theta).flat()
@@ -173,7 +173,7 @@ def test_criterion_04_shampoo_first_step():
     g = ParamVector.of(g_mat)
     eta = 0.3
     spec = OptimizerSpec(ShampooMethod(0.0), step_size=eta)
-    stepped, _ = step_shampoo(theta, g, OptimizerState.fresh(), spec)
+    stepped, _ = step_shampoo(theta, g, OptimizerState(), spec)
     u, s, v = thin_svd(g_mat)
     assert s.size == 6  # full rank
     np.testing.assert_allclose(stepped.blocks[0], -eta * (u @ v.T), atol=1e-8)

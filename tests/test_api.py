@@ -10,6 +10,7 @@ import pytest
 import steepdesc
 from steepdesc import diagnostics, losses, optimizers, rng
 from steepdesc.diagnostics import KKTReport
+from steepdesc.optimizers import OptimizerState
 from steepdesc.params import ParamVector
 
 PUBLIC = {
@@ -69,6 +70,7 @@ REMOVED = [
     (ParamVector, "n_blocks"),         # len(v.shapes())
     (ParamVector, "views"),            # v.layout.views
     (rng, "derive_seeds"),             # splitmix64_stream(seed, n)
+    (OptimizerState, "fresh"),         # OptimizerState()
 ]
 
 

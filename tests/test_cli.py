@@ -196,8 +196,8 @@ class TestTrainCommand:
         """``--strict`` reaches the run: a finding of the invariant battery
         is an error, where without the flag it is a warning."""
         import steepdesc.harness as harness
-        monkeypatch.setattr(harness, "check_invariants",
-                            lambda config, log: ["step 0: fabricated"])
+        monkeypatch.setattr(harness, "check_invariants", lambda config, row, prev,
+                            eta, m: ["step 0: fabricated"] if row.step == 0 else [])
         cfg, out = write_config(tmp_path, toy_dataset)
         argv = ["train", "--config", str(cfg)] + (["--strict"] if strict else [])
         assert cli_main(argv) == (1 if strict else 0)
@@ -487,7 +487,7 @@ class TestOracleCommand:
         path.write_text("y,x1,x2\n1,1.0,0.5\n-1,nan,0.5\n")
         assert cli_main(["oracle", "--norm", "l2", "--data", str(path)]) == 1
         assert capsys.readouterr().err == (
-            "error: dataset features contain non-finite values\n")
+            f"error: {path}:3: non-finite value in '-1,nan,0.5'\n")
 
 
 class TestDiagnoseCommand:

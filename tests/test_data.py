@@ -533,7 +533,7 @@ class TestPersistence:
     def test_non_finite_cell_rejected(self, tmp_path):
         path = tmp_path / "points.csv"
         path.write_text("y,x1,x2\n1,1.0,0.5\n-1,nan,0.5\n")
-        with pytest.raises(DataFormatError, match="non-finite"):
+        with pytest.raises(DataFormatError, match=":3: non-finite value in '-1,nan,0.5'$"):
             load_points_csv(path)
 
     @pytest.mark.parametrize("X, y, message", [

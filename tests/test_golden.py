@@ -3,8 +3,9 @@ pinned-PRNG data and initialization they start from.
 
 Each case is a shipped ``configs/desk_*.cfg`` with a few keys overridden,
 run for 2,000 steps (Shampoo, with its per-step eigendecompositions, for
-400) without a test set and logged every 20 steps; the ``late_phase`` case
-runs 400 steps with a row on every step. Step sizes are raised
+400) without a test set and logged every 20 steps, in strict mode, so an
+invariant finding on any row fails the case; the ``late_phase`` case runs
+400 steps with a row on every step. Step sizes are raised
 where the shipped one does not separate that soon, and the frozen-second-layer
 cases start from a larger init for the same reason, so every case has rows
 past separation and runs the KKT diagnostics. The SHA-256 of
@@ -38,7 +39,7 @@ from steepdesc.rng import splitmix64_stream
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
-SHORT = {"epochs": 2000, "log_every": 20, "test_m": 0}
+SHORT = {"epochs": 2000, "log_every": 20, "test_m": 0, "strict": True}
 
 CASES = {
     "desk_gd": ("desk_gd", {}),

@@ -3,6 +3,7 @@ import struct
 import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -143,16 +144,29 @@ class TestRunTraining:
         assert not log.warnings
 
     def test_invariant_battery_flags_violations(self):
-        from steepdesc.harness import check_invariants
         config = toy_config()
         log = run_training(config, train=four_point_set())
-        post = [r for r in log.rows if r.t0_flag]
-        assert len(post) >= 2
-        post[-1].soft_margin = post[0].soft_margin - 1.0  # fabricated drop
-        post[-1].log_loss = post[-2].log_loss + 1.0       # fabricated rise
-        warnings = check_invariants(config, log)
+        prev, row = [r for r in log.rows if r.t0_flag][-2:]
+        row.soft_margin = prev.soft_margin - 1.0   # fabricated drop
+        row.log_loss = prev.log_loss + 1.0         # fabricated rise
+        warnings = check_invariants(config, row, prev, 0.05, 4)
         assert any("soft margin fell" in w for w in warnings)
         assert any("did not decrease" in w for w in warnings)
+
+    def test_each_row_is_checked_with_the_step_size_that_stepped_to_it(
+            self, monkeypatch):
+        """Rows from t0 on were stepped to by the ``switch_to`` spec, the
+        rows before it by the main one; every row gets the train set's size."""
+        import steepdesc.harness as harness
+        seen = {}
+        monkeypatch.setattr(harness, "check_invariants", lambda config, row, prev,
+                            eta, m: seen.update({row.step: (eta, m)}) or [])
+        switch = OptimizerSpec(SteepestMethod(NormSpec.l2()), step_size=0.01)
+        config = toy_config(optimizer=OptimizerSpec(
+            SteepestMethod(NormSpec.l2()), step_size=0.05, switch_to=switch))
+        log = run_training(config, train=four_point_set())
+        assert 0 < log.t0_step < config.epochs
+        assert seen == {r.step: (0.01 if r.t0_flag else 0.05, 4) for r in log.rows}
 
 
 def _post_separation_row(step, soft_margin, log_loss, norm):
@@ -167,20 +181,16 @@ def _post_separation_row(step, soft_margin, log_loss, norm):
 
 
 class TestCheckInvariants:
-    @pytest.mark.parametrize("switch_eta, warned", [(1e-4, True), (None, False)],
+    @pytest.mark.parametrize("eta, warned", [(1e-4, True), (0.1, False)],
                              ids=["switched to 1e-4", "no switch"])
-    def test_soft_margin_slack_is_that_of_the_switched_to_step_size(
-            self, switch_eta, warned):
-        """Post-separation intervals run under ``switch_to``: a soft-margin
-        drop of 0.5 is within 10 * 0.1 but not within 10 * 1e-4."""
-        switch = (None if switch_eta is None else
-                  OptimizerSpec(SteepestMethod(NormSpec.l2()), step_size=switch_eta))
-        config = toy_config(model=ModelSpec.linear(2), optimizer=OptimizerSpec(
-            SteepestMethod(NormSpec.l2()), step_size=0.1, switch_to=switch))
-        log = RunLog(rows=[_post_separation_row(0, 1.0, -1.0, 1.0),
-                           _post_separation_row(10, 0.5, -2.0, 2.0)],
-                     t0_step=0, train_m=4)
-        assert check_invariants(config, log) == (
+    def test_soft_margin_slack_is_that_of_the_step_size_that_stepped(
+            self, eta, warned):
+        """A soft-margin drop of 0.5 is within 10 * 0.1 but not within
+        10 * 1e-4, the step size a switch to 1e-4 steps the interval with."""
+        rows = [_post_separation_row(0, 1.0, -1.0, 1.0),
+                _post_separation_row(10, 0.5, -2.0, 2.0)]
+        assert check_invariants(toy_config(model=ModelSpec.linear(2)), rows[1],
+                                rows[0], eta, 4) == (
             ["step 10: soft margin fell 1.0 -> 0.5"] if warned else [])
 
     @pytest.mark.parametrize("fields, finding", [
@@ -204,26 +214,49 @@ class TestCheckInvariants:
                 _post_separation_row(10, 1.0, -2.0, 2.0)]
         for name, value in fields.items():
             setattr(rows[1], name, value)
-        log = RunLog(rows=rows, t0_step=0, train_m=4)
-        assert check_invariants(toy_config(model=ModelSpec.linear(2)), log) == (
+        assert check_invariants(toy_config(model=ModelSpec.linear(2)), rows[1],
+                                rows[0], 0.1, 4) == (
             [] if finding is None else [f"step 10: {finding}"])
 
     @pytest.mark.parametrize("strict", [True, False])
     def test_strict_run_raises_on_a_finding_before_writing(self, strict, tmp_path,
                                                            monkeypatch):
+        """A strict run raises with the first failing row's findings; any
+        other run lists every row's findings, in step order, and writes."""
         import steepdesc.harness as harness
-        monkeypatch.setattr(harness, "check_invariants",
-                            lambda config, log: ["step 0: a", "step 5: b"])
+        findings = {5: ["step 5: b", "step 5: c"], 15: ["step 15: d"]}
+        monkeypatch.setattr(harness, "check_invariants", lambda config, row, prev,
+                            eta, m: findings.get(row.step, []))
         config = toy_config(epochs=20, log_every=5, strict=strict,
                             output_dir=str(tmp_path / "out"))
         if strict:
-            with pytest.raises(InvariantViolation, match="^step 0: a; step 5: b$"):
+            with pytest.raises(InvariantViolation, match="^step 5: b; step 5: c$"):
                 run_training(config, train=four_point_set())
             assert not (tmp_path / "out").exists()
         else:
             log = run_training(config, train=four_point_set())
-            assert log.warnings == ["step 0: a", "step 5: b"]
+            assert log.warnings == ["step 5: b", "step 5: c", "step 15: d"]
             assert (tmp_path / "out" / "run.csv").exists()
+
+    def test_strict_run_stops_at_the_first_failing_row(self, tmp_path, monkeypatch):
+        """An alignment over 1 reported at step 1,000 of 5,000 fails that
+        row: the run raises naming it, evaluates no later step and writes
+        nothing."""
+        import steepdesc.harness as harness
+        evaluate, report, evaluated = harness.evaluate, harness.margin_report, []
+        monkeypatch.setattr(harness, "evaluate",
+                            lambda *a: evaluated.append(1) or evaluate(*a))
+
+        def margin_report(ev, norm):
+            rep = report(ev, norm)
+            return replace(rep, alignment=1.5) if len(evaluated) == 1001 else rep
+
+        monkeypatch.setattr(harness, "margin_report", margin_report)
+        config = toy_config(strict=True, output_dir=str(tmp_path / "out"))
+        with pytest.raises(InvariantViolation, match="^step 1000: alignment 1.5 > 1"):
+            run_training(config, train=four_point_set())
+        assert len(evaluated) == 1001       # steps 0 to 1,000
+        assert not (tmp_path / "out").exists()
 
 
 CHUNKED_M = 2 * ACCURACY_CHUNK + 37     # test points: two full default blocks and a part

@@ -140,7 +140,7 @@ class TestLeanSteepestStep:
         count = counted_constructions(monkeypatch)
         g, log_scale = evaluate(ev.loss, ev.model, theta, ev.data).subgradient
         assert count[0] == 1         # the gradient, built by evaluate
-        take_step(theta, g, OptimizerState.fresh(), spec, log_scale=log_scale)
+        take_step(theta, g, OptimizerState(), spec, log_scale=log_scale)
         # the unit direction and the new theta, with or without a frozen block
         assert count[0] - 1 <= 2
 
@@ -267,14 +267,14 @@ class TestAdam:
         theta = ParamVector.of(np.array([1.0, 1.0]))
         g = ParamVector.of(np.array([0.5, -2.0]))
         spec = OptimizerSpec(AdamMethod(0.0, 0.0, 0.0), step_size=0.1)
-        new, _ = step_adam(theta, g, OptimizerState.fresh(), spec)
+        new, _ = step_adam(theta, g, OptimizerState(), spec)
         np.testing.assert_array_equal(new.blocks[0], [0.9, 1.1])
 
     def test_bias_correction_first_step(self):
         theta = ParamVector.of(np.zeros(2))
         g = ParamVector.of(np.array([1.0, 0.0]))
         spec = OptimizerSpec(AdamMethod(0.9, 0.999, 0.0), step_size=1.0)
-        _, state = step_adam(theta, g, OptimizerState.fresh(), spec)
+        _, state = step_adam(theta, g, OptimizerState(), spec)
         m_hat = state.adam_m / (1.0 - 0.9)
         np.testing.assert_allclose(m_hat, [1.0, 0.0])
 
@@ -288,7 +288,7 @@ class TestAdam:
         g, log_scale = ev.subgradient
         spec = OptimizerSpec(AdamMethod(), step_size=0.1)
         count = counted_constructions(monkeypatch)
-        state = OptimizerState.fresh()
+        state = OptimizerState()
         for _ in range(2):      # from zero moments, then from stored ones
             before = count[0]
             _, state = take_step(theta, g, state, spec, log_scale)
@@ -300,14 +300,14 @@ class TestAdam:
         g = ParamVector.of(np.array([1.0, 1.0]))
         eps = 1e6
         spec = OptimizerSpec(AdamMethod(0.0, 0.0, eps), step_size=1.0)
-        new, _ = step_adam(theta, g, OptimizerState.fresh(), spec)
+        new, _ = step_adam(theta, g, OptimizerState(), spec)
         np.testing.assert_allclose(new.blocks[0], -g.blocks[0] / eps, rtol=1e-5)
 
     def test_zero_coordinate_stays_put(self):
         theta = ParamVector.of(np.array([1.0, 1.0]))
         g = ParamVector.of(np.array([0.0, 2.0]))
         spec = OptimizerSpec(AdamMethod(0.0, 0.0, 0.0), step_size=0.1)
-        new, _ = step_adam(theta, g, OptimizerState.fresh(), spec)
+        new, _ = step_adam(theta, g, OptimizerState(), spec)
         assert new.blocks[0][0] == 1.0
 
     def test_matches_normalized_sign_descent_bitwise(self):
@@ -322,7 +322,7 @@ class TestAdam:
         eta = 0.01
         adam_spec = OptimizerSpec(AdamMethod(0.0, 0.0, 0.0), step_size=eta)
         sd_spec = steepest(NormSpec.linf(), eta, normalized=True)
-        state = OptimizerState.fresh()
+        state = OptimizerState()
         for _ in range(50):
             g, _ = loss_subgradient(loss, model, theta, data)
             via_sd = step_steepest(theta, g, sd_spec)
@@ -330,7 +330,7 @@ class TestAdam:
             assert all(np.array_equal(a, b) for a, b in
                        zip(via_sd.blocks, via_adam.blocks))
             theta = via_adam
-            state = OptimizerState.fresh()  # memoryless at beta = 0
+            state = OptimizerState()  # memoryless at beta = 0
 
 
 class TestShampoo:
@@ -338,14 +338,14 @@ class TestShampoo:
         theta = ParamVector.of(np.zeros((2, 2)))
         g = ParamVector.of(np.diag([3.0, 1.0]))
         spec = OptimizerSpec(ShampooMethod(0.0), step_size=0.5)
-        new, _ = step_shampoo(theta, g, OptimizerState.fresh(), spec)
+        new, _ = step_shampoo(theta, g, OptimizerState(), spec)
         np.testing.assert_allclose(new.blocks[0], -0.5 * np.eye(2), atol=1e-12)
 
     def test_zero_gradient_no_move(self):
         theta = ParamVector.of(np.ones((2, 3)))
         g = theta.like(np.zeros(theta.size))
         spec = OptimizerSpec(ShampooMethod(0.0), step_size=0.5)
-        new, state = step_shampoo(theta, g, OptimizerState.fresh(), spec)
+        new, state = step_shampoo(theta, g, OptimizerState(), spec)
         np.testing.assert_array_equal(new.blocks[0], theta.blocks[0])
         assert not state.shampoo[0][0].any()
 
@@ -356,7 +356,7 @@ class TestShampoo:
         g = ParamVector.of(g_mat)
         eta = 0.7
         spec = OptimizerSpec(ShampooMethod(0.0), step_size=eta)
-        new, _ = step_shampoo(theta, g, OptimizerState.fresh(), spec)
+        new, _ = step_shampoo(theta, g, OptimizerState(), spec)
         u, _, v = thin_svd(g_mat)
         np.testing.assert_allclose(new.blocks[0], -eta * (u @ v.T), atol=1e-8)
         direction = steepest_direction(NormSpec.spectral(), g)
@@ -367,7 +367,7 @@ class TestShampoo:
         rng = np.random.default_rng(4)
         theta = ParamVector.of(np.zeros((3, 2)))
         spec = OptimizerSpec(ShampooMethod(0.0), step_size=0.1)
-        state = OptimizerState.fresh()
+        state = OptimizerState()
         g1 = ParamVector.of(rng.standard_normal((3, 2)))
         _, state = step_shampoo(theta, g1, state, spec)
         left_after_one = state.shampoo[0][0].copy()
@@ -379,7 +379,7 @@ class TestShampoo:
         theta = ParamVector.of(np.zeros(3))
         g = ParamVector.of(np.array([3.0, 0.0, 4.0]))
         spec = OptimizerSpec(ShampooMethod(0.0), step_size=1.0)
-        new, _ = step_shampoo(theta, g, OptimizerState.fresh(), spec)
+        new, _ = step_shampoo(theta, g, OptimizerState(), spec)
         np.testing.assert_allclose(new.blocks[0], [-0.6, 0.0, -0.8], atol=1e-12)
 
 
@@ -415,7 +415,7 @@ class TestTakeStep:
         # only Adam counts steps, for its bias correction
         theta = ParamVector.of(np.array([1.0, 1.0]))
         g = ParamVector.of(np.array([1.0, -1.0]))
-        state = OptimizerState.fresh()
+        state = OptimizerState()
         _, same = take_step(theta, g, state, steepest(NormSpec.l2(), 0.1))
         assert same is state
         _, adam = take_step(theta, g, state, OptimizerSpec(AdamMethod(), step_size=0.1))
