@@ -145,8 +145,6 @@ def _block_norm(kind: str, block: np.ndarray) -> float:
             return _l2(x)
         return float(np.abs(x).max()) if x.size else 0.0
     m = _as_matrix(block)
-    if m.shape[1] == 1:             # a one-column matrix: both are its l2 norm
-        return _l2(m.ravel())
     if m.size == 0:
         return 0.0
     s = np.linalg.svd(m, compute_uv=False)     # all +0.0 for a zero matrix
@@ -158,7 +156,8 @@ def _segments(spec: NormSpec, v: ParamVector,
     """The (kind, coordinates) pairs ||.|| is the max over, for v's trainable
     prefix, or for ``flat`` in the layout of v's trainable blocks: all of it
     for a flat kind, each block under its own kind for a spectral or modular
-    norm."""
+    norm, a one-column block under spectral as l2: its spectral and nuclear
+    norms and faces are l2's."""
     if spec.kind in _FLAT_KINDS:
         return [(spec.kind, v.trainable_flat() if flat is None else flat)]
     blocks = v.trainable_blocks() if flat is None else v.layout.views(flat)
@@ -167,7 +166,8 @@ def _segments(spec: NormSpec, v: ParamVector,
     if len(kinds) != len(blocks):
         raise ShapeMismatchError(f"modular_max has {len(kinds)} block norms but "
                                  f"the vector has {len(blocks)} trainable blocks")
-    return list(zip(kinds, blocks))
+    return [(L2 if k == SPECTRAL and _as_matrix(x).shape[1] == 1 else k, x)
+            for k, x in zip(kinds, blocks)]
 
 
 def norm_value(spec: NormSpec, v: ParamVector) -> float:

@@ -55,7 +55,8 @@ CASES = {
     "modular_gd": ("desk_gd", {"norm": "modular:spectral,l2",
                                "diagnostics_norms": "modular:spectral,l2",
                                "normalized": True}),
-    # per-block SVD subgradient and nuclear dual (separates at step 260)
+    # per-block SVD subgradient and nuclear dual on W; u, one column, takes
+    # l2's norm and faces, so the bytes are modular_gd's (separates at step 260)
     "spectral_gd": ("desk_gd", {"norm": "spectral",
                                 "diagnostics_norms": "spectral",
                                 "normalized": True}),
@@ -98,8 +99,8 @@ GOLDEN = {
         "run.csv": "f74b4cf62ef22ea2f09fa46f76465e7fe5b756c1cc5ac2cf1fc7c88e9b3031c8",
         "final.ckpt": "e48b7696150b9e0595fe1857228f3816e1cd7d14aabf6b27dadfc67b24dc95ee"},
     "spectral_gd": {
-        "run.csv": "7195cb322bae8637f9a749e631588dd19ca2577ab854d557be868323aa3dcff7",
-        "final.ckpt": "16da11ba8e3863fc00d09779cb254be17aeac98f6d1fdab64160142466c64886"},
+        "run.csv": "f74b4cf62ef22ea2f09fa46f76465e7fe5b756c1cc5ac2cf1fc7c88e9b3031c8",
+        "final.ckpt": "e48b7696150b9e0595fe1857228f3816e1cd7d14aabf6b27dadfc67b24dc95ee"},
     "logistic_gd": {
         "run.csv": "c9dcf4ddec626d587c030667a037f4804e745bb6f4c29cc03d794c9da8d68974",
         "final.ckpt": "b93ad5ab69698800368ff586f8f85660d7c541ff6a951c6e56ab132416388ce6"},

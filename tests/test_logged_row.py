@@ -101,11 +101,12 @@ def ref_norm_subgradient(spec, theta, value):
     values = [ref_block_norm(k, b) for k, b in zip(kinds, theta.blocks)]
     j = int(np.argmax(values))
     b = theta.blocks[j]
-    if kinds[j] == "spectral":
+    if kinds[j] == "spectral" and ref_as_matrix(b).shape[1] > 1:
         u, _, vt = np.linalg.svd(ref_as_matrix(b), full_matrices=False)
         sub = np.outer(u[:, 0], vt[0]).reshape(b.shape)
-    else:
-        sub = ref_flat_subgradient(kinds[j], b.ravel(), values[j]).reshape(b.shape)
+    else:                   # a one-column spectral block's face is its l2 face
+        kind = "l2" if kinds[j] == "spectral" else kinds[j]
+        sub = ref_flat_subgradient(kind, b.ravel(), values[j]).reshape(b.shape)
     blocks = [np.zeros_like(other) for other in theta.blocks]
     blocks[j] = sub
     return ParamVector(tuple(blocks), theta.trainable)
