@@ -295,7 +295,7 @@ def run_training(config: RunConfig, train: Optional[Dataset] = None,
     last = log.rows[-1]
     if t0_row is not None and not (last.norm_algo > t0_row.norm_algo or last.frozen):
         log.warnings.append("parameter norm did not grow after separation")
-    if config.strict and log.warnings:      # only that one: rows raised their own
+    if config.strict and log.warnings:      # the norm check's: rows raised their own
         raise InvariantViolation("; ".join(log.warnings))
 
     if config.output_dir:

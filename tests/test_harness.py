@@ -17,11 +17,10 @@ from steepdesc.errors import (ConfigError, DivergenceError, InvariantViolation,
                               ShapeMismatchError)
 from steepdesc.harness import (_KEYS, _TABLE, ACCURACY_CHUNK, CONFIG_KEYS,
                                CSV_COLUMNS, DataSource, LogRow, RunConfig,
-                               RunLog, _flag, _integer, _real, _text,
-                               check_invariants, config_from_values,
-                               emit_csv, emit_svg, evaluate_accuracy,
-                               load_config, parse_norm, read_flat_config,
-                               run_training)
+                               _flag, _integer, _real, _text, check_invariants,
+                               config_from_values, emit_csv, emit_svg,
+                               evaluate_accuracy, load_config, parse_norm,
+                               read_flat_config, run_training)
 from steepdesc.losses import LossSpec, output_margins
 from steepdesc.models import InitSpec, ModelSpec
 from steepdesc.norms import NormSpec
@@ -183,7 +182,7 @@ def _post_separation_row(step, soft_margin, log_loss, norm):
 class TestCheckInvariants:
     @pytest.mark.parametrize("eta, warned", [(1e-4, True), (0.1, False)],
                              ids=["switched to 1e-4", "no switch"])
-    def test_soft_margin_slack_is_that_of_the_step_size_that_stepped(
+    def test_soft_margin_slack_is_that_of_the_switched_to_step_size(
             self, eta, warned):
         """A soft-margin drop of 0.5 is within 10 * 0.1 but not within
         10 * 1e-4, the step size a switch to 1e-4 steps the interval with."""
